@@ -3,12 +3,11 @@
 //! Serves one million mixed operations (churn: inserts + deletes, plus
 //! Zipf insert/lookup traffic) across 4 and 8 shards, for fully random
 //! and double hashing in both choice modes (stream-drawn and keyed
-//! derivation), and reports ops/s. A second group races the three worker
-//! modes — sequential, scoped-spawn-per-batch, and the persistent
-//! channel-fed pool — on the same 1M-op workload, which is where the
-//! "persistent workers are no slower than scoped spawning" acceptance
-//! gate is measured. Before timing anything it verifies the engine's
-//! determinism contract at the same scale: per-shard loads after 1M
+//! derivation), and reports ops/s. A second group races the two worker
+//! modes — sequential and the persistent ring-fed pool — and the
+//! pipelined ingestion path on the same 1M-op workload. Before timing
+//! anything it verifies the engine's determinism contract at the same
+//! scale: per-shard loads after 1M
 //! routed inserts must be bit-identical to single-threaded `ba_core`
 //! replays for the same `(seed, scheme)` pair, in both choice modes.
 
@@ -125,24 +124,18 @@ fn bench_mixed_ops(c: &mut Criterion) {
     group.finish();
 }
 
-/// The worker-mode race: persistent channel-fed workers must be no slower
-/// than spawning scoped threads per batch (the pre-pool baseline) on the
-/// 1M-op mixed workload at 4 and 8 shards — plus the pipelined ingestion
-/// path at two queue depths, which overlaps routing with application on
-/// top of the same persistent pool.
+/// The worker-mode race: sequential application against the persistent
+/// ring-fed pool on the 1M-op mixed workload at 4 and 8 shards — plus
+/// the pipelined ingestion path at two queue depths, which overlaps
+/// routing with application on top of the same persistent pool.
 fn bench_worker_modes(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_workers");
     group.throughput(Throughput::Elements(TOTAL_OPS));
     let ops = mixed_stream(&Scenario::Uniform, BINS_PER_SHARD * 4);
     for shards in [4usize, 8] {
-        for workers in [
-            WorkerMode::Sequential,
-            WorkerMode::Scoped,
-            WorkerMode::Persistent,
-        ] {
+        for workers in [WorkerMode::Sequential, WorkerMode::Persistent] {
             let label = match workers {
                 WorkerMode::Sequential => "sequential",
-                WorkerMode::Scoped => "scoped",
                 WorkerMode::Persistent => "persistent",
             };
             let id = BenchmarkId::new(label, shards);

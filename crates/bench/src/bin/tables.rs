@@ -4,8 +4,7 @@
 //! tables <experiment>... [--trials N] [--seed S] [--threads T] [--full]
 //! tables all [--trials N]
 //! tables list
-//! tables pipeline-gate <baseline.json> <candidate.json>
-//! tables hotpath-gate <baseline.json> <candidate.json>
+//! tables gate <baseline.json> <candidate.json>
 //! ```
 
 use ba_bench::{experiment, gate, run_all, Opts, EXPERIMENTS};
@@ -18,8 +17,7 @@ fn usage() -> String {
     let names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
     format!(
         "usage: tables <experiment>... [--trials N] [--seed S] [--threads T] [--full]\n\
-         \x20      tables pipeline-gate <baseline.json> <candidate.json>\n\
-         \x20      tables hotpath-gate <baseline.json> <candidate.json>\n\
+         \x20      tables gate <baseline.json> <candidate.json>\n\
          \n\
          experiments: all, list, {}\n\
          \n\
@@ -28,12 +26,9 @@ fn usage() -> String {
          --threads T  worker threads (default: all cores)\n\
          --full       paper-scale sizes for table8 (n=2^14, 10^4 s horizon)\n\
          \n\
-         pipeline-gate compares two BENCH_pipeline.json files and fails if any\n\
-         candidate cell is >{:.0}% slower than its baseline, missing, extra, or no\n\
-         longer bit-identical; on hosts wide enough to overlap shards and\n\
-         producers it also enforces the 2x multi-producer speedup floor.\n\
-         hotpath-gate applies the same rate/identity gate to two\n\
-         BENCH_hotpath.json files (no producer axis, so no speedup floor).",
+         gate compares two BENCH_pipeline.json or BENCH_hotpath.json files and\n\
+         fails if any candidate cell is >{:.0}% slower than its baseline,\n\
+         missing, extra, or no longer bit-identical.",
         names.join(", "),
         GATE_TOLERANCE * 100.0
     )
@@ -52,10 +47,10 @@ fn main() -> ExitCode {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
     }
-    if names[0] == "pipeline-gate" {
+    if names[0] == "gate" {
         let [_, baseline, candidate] = names.as_slice() else {
             eprintln!(
-                "error: pipeline-gate takes exactly two file arguments\n\n{}",
+                "error: gate takes exactly two file arguments\n\n{}",
                 usage()
             );
             return ExitCode::FAILURE;
@@ -63,37 +58,11 @@ fn main() -> ExitCode {
         return match gate::gate_files(baseline.as_ref(), candidate.as_ref(), GATE_TOLERANCE) {
             Ok(report) => {
                 print!("{report}");
-                println!(
-                    "pipeline perf gate: OK (tolerance {:.0}%)",
-                    GATE_TOLERANCE * 100.0
-                );
+                println!("perf gate: OK (tolerance {:.0}%)", GATE_TOLERANCE * 100.0);
                 ExitCode::SUCCESS
             }
             Err(violations) => {
-                eprintln!("pipeline perf gate FAILED:\n{violations}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if names[0] == "hotpath-gate" {
-        let [_, baseline, candidate] = names.as_slice() else {
-            eprintln!(
-                "error: hotpath-gate takes exactly two file arguments\n\n{}",
-                usage()
-            );
-            return ExitCode::FAILURE;
-        };
-        return match gate::gate_rate_files(baseline.as_ref(), candidate.as_ref(), GATE_TOLERANCE) {
-            Ok(report) => {
-                print!("{report}");
-                println!(
-                    "hotpath perf gate: OK (tolerance {:.0}%)",
-                    GATE_TOLERANCE * 100.0
-                );
-                ExitCode::SUCCESS
-            }
-            Err(violations) => {
-                eprintln!("hotpath perf gate FAILED:\n{violations}");
+                eprintln!("perf gate FAILED:\n{violations}");
                 ExitCode::FAILURE
             }
         };

@@ -24,9 +24,8 @@
 //!   check gates every cell.
 //!
 //! The emitted `BENCH_hotpath.json` is CI's hot-path perf baseline:
-//! `tables hotpath-gate` compares a fresh run against the committed file
-//! with [`crate::gate::gate_rates`] (rate floor + lost-identity check;
-//! no producer axis here, so no speedup gate).
+//! `tables gate` compares a fresh run against the committed file with
+//! [`crate::gate::gate_rates`] (rate floor + lost-identity check).
 
 use crate::Opts;
 use ba_engine::{EngineConfig, Op, Shard};

@@ -4,12 +4,11 @@
 //! bench races *application* strategies, this experiment isolates the
 //! ingestion axis: the same scenarios, scheme, and seed are served once
 //! with strict generate/apply phases (the `IngestMode::Phased` baseline,
-//! persistent workers), once through the lock-free SPSC-ring pipeline at
-//! several queue depths, and once per producer count with routing fanned
-//! out across threads at the mid depth. Every pipelined cell is checked
-//! bit-identical to its phased baseline (balls, max load, full stats)
-//! before any rate is reported, so the speedup column can never be
-//! bought with a divergence — at any producer count.
+//! persistent workers) and once through the lock-free SPSC-ring pipeline
+//! at several queue depths, at the same engine-wide batch size. Every
+//! pipelined cell is checked bit-identical to its phased baseline
+//! (balls, max load, full stats) before any rate is reported, so a rate
+//! can never be bought with a divergence.
 //!
 //! Besides the rendered table, the experiment emits a machine-readable
 //! `BENCH_pipeline.json` next to the working directory — the perf
@@ -31,21 +30,10 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Duration;
 
-/// Queue depths the single-producer pipelined cells sweep. Depth 1 is
-/// the strict double-buffer; 64 approximates an unbounded ring at these
-/// batch counts.
+/// Queue depths the pipelined cells sweep. Depth 1 is the strict
+/// double-buffer; 64 approximates an unbounded ring at these batch
+/// counts.
 const QUEUE_DEPTHS: &[usize] = &[1, 4, 16, 64];
-
-/// Producer-thread counts swept at the mid depth: 1 rides along with the
-/// depth sweep; 2 and 4 fan the routing stage out across threads. Every
-/// cell is still checked bit-identical to phased — the (producer, seq)
-/// merge makes the fan-out invisible to results.
-const PRODUCERS: &[usize] = &[2, 4];
-
-/// The queue depth the multi-producer cells run at (the sweep's middle
-/// depth: deep enough to decouple producers from workers, shallow enough
-/// that backpressure still shows up in the stall columns).
-const FAN_DEPTH: usize = 4;
 
 /// Scenarios the experiment times: cheap-to-generate uniform traffic
 /// (application-bound, where pipelining helps least), the Zipf sampler
@@ -70,9 +58,6 @@ struct Cell {
     scenario: &'static str,
     ingest: &'static str,
     queue_depth: Option<usize>,
-    /// Producer-thread count on the pipelined path (`None` for phased,
-    /// which has no separable routing stage).
-    producers: Option<usize>,
     report: DriveReport,
     /// End-to-end generate+serve rate over the whole run's wall clock.
     /// [`DriveReport::ops_per_sec`] would be unfair here: phased runs
@@ -84,12 +69,8 @@ struct Cell {
     /// Backpressure stalls across the run's shipped batches (pipelined
     /// cells; structurally zero for phased).
     stalls: u64,
-    /// Total time the producer spent blocked on full queues.
+    /// Total time the calling thread spent blocked on full queues.
     stalled: Duration,
-    /// Total time producers spent routing ops into per-shard batches
-    /// (multi-producer cells; zero where routing is not a separable
-    /// stage).
-    routed: Duration,
     /// Highest bounded-queue occupancy observed at any ship.
     peak_occupancy: u32,
 }
@@ -125,15 +106,14 @@ fn timed_run(
     (report, rate, sink)
 }
 
-/// Folds a run's metric records into the cell's stall/routing/occupancy
+/// Folds a run's metric records into the cell's stall/occupancy
 /// columns.
-fn pressure(sink: &SharedSink) -> (u64, Duration, Duration, u32) {
+fn pressure(sink: &SharedSink) -> (u64, Duration, u32) {
     let records = sink.records();
     let stalls = records.iter().map(|r| u64::from(r.stalls)).sum();
     let stalled = records.iter().map(|r| r.stalled).sum();
-    let routed = records.iter().map(|r| r.routed).sum();
     let peak = records.iter().map(|r| r.queue_occupancy).max().unwrap_or(0);
-    (stalls, stalled, routed, peak)
+    (stalls, stalled, peak)
 }
 
 /// The sweep body, parameterized so tests can run a small matrix against
@@ -150,7 +130,7 @@ pub(crate) fn run_matrix(opts: &Opts, total_ops: u64, json_path: &Path) -> Strin
         "Pipelined ingestion sweep: {shards} shards x {bins_per_shard} bins, d = {d}, \
          {total_ops} ops per cell, batch {batch}, seed {}\n\
          (phased = generate/apply alternation with persistent workers; pipelined = \
-         producer ships per-shard batches into bounded queues while workers apply; \
+         the driving thread ships per-shard batches into bounded queues while workers apply; \
          Mops/s is the end-to-end generate+serve wall rate for both modes, and every \
          pipelined cell is verified bit-identical to phased before timing counts)\n\n",
         opts.seed
@@ -160,17 +140,10 @@ pub(crate) fn run_matrix(opts: &Opts, total_ops: u64, json_path: &Path) -> Strin
     for scenario in SCENARIOS {
         let (phased, phased_rate, phased_sink) =
             timed_run(scenario, config(), keyspace, total_ops, batch);
-        // Single-producer depth sweep, then the producer fan-out at the
-        // mid depth — one flat (depth, producers) cell list per scenario.
-        let pipelined_axis: Vec<(usize, usize)> = QUEUE_DEPTHS
-            .iter()
-            .map(|&depth| (depth, 1))
-            .chain(PRODUCERS.iter().map(|&prod| (FAN_DEPTH, prod)))
-            .collect();
-        for (depth, prod) in pipelined_axis {
+        for &depth in QUEUE_DEPTHS {
             let (pipelined, rate, sink) = timed_run(
                 scenario,
-                config().pipelined_producers(depth, prod),
+                config().pipelined(depth),
                 keyspace,
                 total_ops,
                 batch,
@@ -178,33 +151,29 @@ pub(crate) fn run_matrix(opts: &Opts, total_ops: u64, json_path: &Path) -> Strin
             let consistent =
                 pipelined.summary == phased.summary && pipelined.stats.matches(&phased.stats);
             all_consistent &= consistent;
-            let (stalls, stalled, routed, peak_occupancy) = pressure(&sink);
+            let (stalls, stalled, peak_occupancy) = pressure(&sink);
             cells.push(Cell {
                 scenario: scenario.name(),
                 ingest: "pipelined",
                 queue_depth: Some(depth),
-                producers: Some(prod),
                 report: pipelined,
                 wall_ops_per_sec: rate,
                 consistent,
                 stalls,
                 stalled,
-                routed,
                 peak_occupancy,
             });
         }
-        let (stalls, stalled, routed, peak_occupancy) = pressure(&phased_sink);
+        let (stalls, stalled, peak_occupancy) = pressure(&phased_sink);
         cells.push(Cell {
             scenario: scenario.name(),
             ingest: "phased",
             queue_depth: None,
-            producers: None,
             report: phased,
             wall_ops_per_sec: phased_rate,
             consistent: true,
             stalls,
             stalled,
-            routed,
             peak_occupancy,
         });
     }
@@ -213,13 +182,11 @@ pub(crate) fn run_matrix(opts: &Opts, total_ops: u64, json_path: &Path) -> Strin
         "scenario",
         "ingest",
         "depth",
-        "prod",
         "Mops/s",
         "max load",
         "balls",
         "stalls",
         "stall ms",
-        "route ms",
         "identical",
     ]);
     for cell in &cells {
@@ -227,19 +194,17 @@ pub(crate) fn run_matrix(opts: &Opts, total_ops: u64, json_path: &Path) -> Strin
             cell.scenario.to_string(),
             cell.ingest.to_string(),
             cell.queue_depth.map_or("-".into(), |d| d.to_string()),
-            cell.producers.map_or("-".into(), |p| p.to_string()),
             format!("{:.2}", cell.wall_ops_per_sec / 1e6),
             cell.report.stats.max_load().to_string(),
             cell.report.stats.total_balls().to_string(),
             cell.stalls.to_string(),
             format!("{:.1}", cell.stalled.as_secs_f64() * 1e3),
-            format!("{:.1}", cell.routed.as_secs_f64() * 1e3),
             if cell.consistent { "yes" } else { "NO" }.to_string(),
         ]);
     }
     out.push_str(&table.render());
     out.push_str(&format!(
-        "\noverall: pipelined results {} phased across every scenario x queue depth x producer count\n",
+        "\noverall: pipelined results {} phased across every scenario x queue depth\n",
         if all_consistent {
             "bit-identical to"
         } else {
@@ -272,9 +237,8 @@ fn render_json(
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"experiment\": \"pipeline\",");
     let _ = writeln!(json, "  \"seed\": {},", opts.seed);
-    // Hardware parallelism of the box that produced the numbers: the
-    // gate uses it to decide whether multi-producer speedup expectations
-    // are physically meaningful on the candidate run's host.
+    // Hardware parallelism of the box that produced the numbers, so a
+    // reader can tell a two-lane run from a wide one.
     let parallelism = std::thread::available_parallelism().map_or(1, |p| p.get());
     let _ = writeln!(json, "  \"parallelism\": {parallelism},");
     let _ = writeln!(json, "  \"shards\": {shards},");
@@ -290,17 +254,12 @@ fn render_json(
             Some(depth) => obj.field_u64("queue_depth", depth as u64),
             None => obj.field_raw("queue_depth", "null"),
         };
-        let obj = match cell.producers {
-            Some(prod) => obj.field_u64("producers", prod as u64),
-            None => obj.field_raw("producers", "null"),
-        };
         let line = obj
             .field_raw("ops_per_sec", &format!("{:.0}", cell.wall_ops_per_sec))
             .field_u64("max_load", u64::from(cell.report.stats.max_load()))
             .field_u64("balls", cell.report.stats.total_balls())
             .field_u64("stalls", cell.stalls)
             .field_u64("stall_us", cell.stalled.as_micros() as u64)
-            .field_u64("route_us", cell.routed.as_micros() as u64)
             .field_u64("peak_occupancy", u64::from(cell.peak_occupancy))
             .field_bool("identical", cell.consistent)
             .finish();
@@ -337,15 +296,10 @@ mod tests {
         assert!(json.contains("\"parallelism\": "), "{json}");
         assert!(json.contains("\"queue_depth\": null"), "{json}");
         assert!(json.contains("\"queue_depth\": 64"), "{json}");
-        assert!(json.contains("\"producers\": null"), "{json}");
-        assert!(json.contains("\"producers\": 1"), "{json}");
-        assert!(json.contains("\"producers\": 2"), "{json}");
-        assert!(json.contains("\"producers\": 4"), "{json}");
         assert!(json.contains("\"identical\": true"), "{json}");
         assert!(!json.contains("\"identical\": false"), "{json}");
         assert!(json.contains("\"stalls\": "), "{json}");
         assert!(json.contains("\"stall_us\": "), "{json}");
-        assert!(json.contains("\"route_us\": "), "{json}");
         assert!(json.contains("\"peak_occupancy\": "), "{json}");
         // The emitted document must at least be brace-balanced — cheap
         // insurance for a hand-rolled writer.

@@ -6,9 +6,9 @@
 //! traffic, this one first captures each scenario into the `.baops` codec
 //! (reporting how small delta/varint encoding keeps the file), verifies
 //! the codec round-trips, and then feeds the *identical* op sequence to
-//! every `{scheme} × {stream, keyed} × {sequential, scoped, persistent}`
-//! cell. Within a scheme × mode, the worker modes must agree bit-for-bit —
-//! any divergence is printed loudly and reflected in the summary line.
+//! every `{scheme} × {stream, keyed} × {sequential, persistent}` cell.
+//! Within a scheme × mode, the worker modes must agree bit-for-bit — any
+//! divergence is printed loudly and reflected in the summary line.
 
 use crate::Opts;
 use ba_engine::EngineConfig;

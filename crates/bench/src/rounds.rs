@@ -9,8 +9,8 @@
 //! and total re-proposals (a fast-decaying re-proposal tail is the
 //! O(log log n) signature). The `identical` column asserts the mode's
 //! determinism contract per row: a second rounds engine at a different
-//! worker mode and producer count, fed a per-batch-permuted copy of the
-//! stream, must land every ball in the same global bin.
+//! worker mode, fed a per-batch-permuted copy of the stream, must land
+//! every ball in the same global bin.
 
 use crate::Opts;
 use ba_engine::{Engine, EngineConfig, Op, WorkerMode};
@@ -74,7 +74,7 @@ pub fn rounds(opts: &Opts) -> String {
         "Round-based bulk-parallel allocation vs sequential d-choice: \
          {SHARDS} shards x {bins_per_shard} bins, d = {D}, {total_ops} ops per cell, \
          batches of {batch}, seed {}\n\
-         (identical column: a worker/producer-shuffled rounds engine served a \
+         (identical column: a sequential-worker rounds engine served a \
          per-batch-permuted stream and landed every ball in the same global bin)\n\n",
         opts.seed
     );
@@ -108,7 +108,7 @@ pub fn rounds(opts: &Opts) -> String {
                 scheme,
                 EngineConfig::new(SHARDS, bins_per_shard, d_for(scheme))
                     .seed(opts.seed)
-                    .rounds_producers(2),
+                    .rounds(),
             )
             .expect("known scheme");
             let t0 = Instant::now();
@@ -116,14 +116,14 @@ pub fn rounds(opts: &Opts) -> String {
             let rounds_elapsed = t0.elapsed();
             let report = bulk.take_round_report().expect("rounds mode");
 
-            // Determinism: different worker mode, different producer
-            // fan-out, permuted batches — same global bin vector.
+            // Determinism: different worker mode, permuted batches —
+            // same global bin vector.
             let mut twin = Engine::by_name(
                 scheme,
                 EngineConfig::new(SHARDS, bins_per_shard, d_for(scheme))
                     .seed(opts.seed)
                     .workers(WorkerMode::Sequential)
-                    .rounds_producers(1),
+                    .rounds(),
             )
             .expect("known scheme");
             twin.serve(&permuted, batch);

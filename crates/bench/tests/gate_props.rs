@@ -13,7 +13,6 @@ fn cell(scenario: &str, rate: f64) -> CellRate {
         scenario: scenario.into(),
         ingest: "pipelined".into(),
         depth: Some(4),
-        producers: Some(1),
         rate,
         identical: true,
     }

@@ -1,6 +1,5 @@
 //! The sharded engine: routing, batched ingestion, parallel application.
 
-use crate::channel;
 use crate::metrics::{EngineStats, ShardStats};
 use crate::op::{BatchSummary, Op};
 use crate::rounds::{tie_hash, Proposal, RoundReport, RoundsState, Winner};
@@ -11,6 +10,7 @@ use ba_core::TieBreak;
 use ba_hash::{AnyScheme, ChoiceScheme};
 use ba_rng::RngKind;
 use std::fmt;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// How shards obtain each ball's choice vector.
@@ -26,42 +26,35 @@ pub enum ChoiceMode {
     Keyed,
 }
 
-/// How op streams flow from the producer into the shard workers.
+/// How op streams flow from the calling thread into the shard workers.
 ///
-/// Either mode yields bit-identical shard states, summaries, and
-/// [`EngineStats`](crate::EngineStats) percentiles for the same op
-/// stream — each shard still applies exactly its routed subsequence in
-/// order — so the axis trades only latency/throughput, never results.
+/// Phased and pipelined ingestion yield bit-identical shard states,
+/// summaries, and [`EngineStats`](crate::EngineStats) percentiles for
+/// the same op stream — each shard still applies exactly its routed
+/// subsequence in order — so that choice trades only
+/// latency/throughput, never results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum IngestMode {
     /// Strictly alternate generate/apply phases: buffer one batch, apply
     /// it across all shards, wait for every shard, repeat. Simple and
-    /// allocation-light, but producers idle while workers run and vice
-    /// versa.
+    /// allocation-light, but the calling thread idles while workers run
+    /// and vice versa.
     #[default]
     Phased,
-    /// Overlap production with application: one or more producer stages
-    /// partition the op stream and ship per-shard batches into bounded
-    /// lock-free SPSC rings (see [`crate::spsc`]) while the persistent
-    /// workers apply earlier batches. `queue_depth` caps how many
-    /// batches may sit queued per (producer, shard) ring; a full ring
-    /// blocks that producer (backpressure) rather than buffering without
-    /// limit. With `producers > 1`, chunks of the stream are routed by
-    /// producer threads in deterministic round-robin and every shard
-    /// worker merges its per-producer rings in (producer, seq) order, so
-    /// results stay bit-identical to sequential serving regardless of
-    /// producer count or timing.
+    /// Overlap production with application: the calling thread routes
+    /// the op stream and ships per-shard batches into bounded lock-free
+    /// SPSC rings (see [`crate::spsc`]), one per shard, while the
+    /// persistent workers apply earlier batches. A full ring blocks the
+    /// calling thread (backpressure) rather than buffering without
+    /// limit. Each shard still applies its routed subsequence in stream
+    /// order, so results stay bit-identical to sequential serving.
     Pipelined {
-        /// Maximum batches queued per (producer, shard) ring before the
-        /// producer blocks. Must be a power of two (ring granularity).
+        /// Maximum batches queued per shard ring before the calling
+        /// thread blocks. Must be a power of two (ring granularity).
         /// Depth 1 is a strict double-buffer (worker applies batch `k`
-        /// while the producer fills `k+1`); larger depths absorb
+        /// while the caller fills `k+1`); larger depths absorb
         /// burstier routing at the cost of memory.
         queue_depth: usize,
-        /// Number of producer threads routing the op stream. 1 routes on
-        /// the calling thread (no fan-out stage); `N > 1` spawns N
-        /// routing threads fed round-robin with stream chunks.
-        producers: usize,
     },
     /// Resolve each batch's inserts in synchronized bulk-parallel
     /// rounds over the *global* bin space (see [`crate::rounds`]):
@@ -70,30 +63,21 @@ pub enum IngestMode {
     /// tie order, and losers re-propose next round. Deletes and lookups
     /// apply at batch barriers against pre-batch state. Placement is a
     /// pure function of *(batch contents as a multiset, seed)* —
-    /// independent of op order within the batch, worker mode, producer
-    /// count, and shard count — a strictly stronger determinism
-    /// contract than the other modes' bit-identity to sequential
-    /// serving. [`ChoiceMode`] and [`ba_core::TieBreak`] are ignored:
-    /// probes are always keyed off the rounds salt and ties always
-    /// break by key hash.
-    Rounds {
-        /// Number of threads deriving probe vectors in the propose
-        /// step. 1 proposes on the calling thread; `N > 1` splits the
-        /// batch's balls into N contiguous chunks, one scoped thread
-        /// each. Results never depend on this value.
-        producers: usize,
-    },
+    /// independent of op order within the batch, worker mode, and shard
+    /// count — a strictly stronger determinism contract than the other
+    /// modes' bit-identity to sequential serving. [`ChoiceMode`] and
+    /// [`ba_core::TieBreak`] are ignored: probes are always keyed off
+    /// the rounds salt and ties always break by key hash.
+    Rounds,
 }
 
 /// How batches are applied across shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum WorkerMode {
-    /// Apply shard by shard on the calling thread.
+    /// Apply shard by shard on the calling thread — the reference every
+    /// parallel path is checked bit-identical against.
     Sequential,
-    /// Spawn scoped threads per batch — the pre-worker-pool baseline,
-    /// kept so `engine_throughput` can benchmark the pool against it.
-    Scoped,
-    /// Long-lived channel-fed worker threads, one per shard, spawned on
+    /// Long-lived ring-fed worker threads, one per shard, spawned on
     /// the first parallel batch and joined when the engine drops.
     #[default]
     Persistent,
@@ -120,9 +104,10 @@ pub struct EngineConfig {
     /// How batches are applied across shards. Results are bit-identical
     /// for every mode; only throughput differs.
     pub workers: WorkerMode,
-    /// How op streams are ingested: strict generate/apply phases or the
-    /// pipelined producer/worker overlap. Results are bit-identical for
-    /// either mode; only throughput and memory bounds differ.
+    /// How op streams are ingested: strict generate/apply phases, the
+    /// pipelined caller/worker overlap, or bulk rounds. Phased and
+    /// pipelined results are bit-identical; only throughput and memory
+    /// bounds differ.
     pub ingest: IngestMode,
 }
 
@@ -139,10 +124,6 @@ pub enum ConfigError {
     /// Pipelined ingestion was configured with a ring depth that is not
     /// a power of two (the SPSC ring's granularity).
     QueueDepthNotPowerOfTwo(usize),
-    /// Pipelined ingestion was configured with zero producer threads.
-    ZeroProducers,
-    /// Rounds ingestion was configured with zero propose threads.
-    ZeroRoundsProducers,
     /// A cluster was configured with zero partitions.
     ZeroPartitions,
     /// A cluster ring was configured with zero virtual nodes per node.
@@ -157,21 +138,12 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ZeroQueueDepth => write!(
                 f,
-                "EngineConfig::pipelined(0) / pipelined_producers(0, ..): \
-                 queue depth must be positive"
+                "EngineConfig::pipelined(0): queue depth must be positive"
             ),
             ConfigError::QueueDepthNotPowerOfTwo(depth) => write!(
                 f,
                 "EngineConfig::pipelined({depth}): queue depth must be a \
                  power of two (SPSC ring granularity)"
-            ),
-            ConfigError::ZeroProducers => write!(
-                f,
-                "EngineConfig::pipelined_producers(.., 0): need at least one producer"
-            ),
-            ConfigError::ZeroRoundsProducers => write!(
-                f,
-                "EngineConfig::rounds_producers(0): need at least one propose thread"
             ),
             ConfigError::ZeroPartitions => write!(
                 f,
@@ -250,34 +222,16 @@ impl EngineConfig {
         self
     }
 
-    /// Selects pipelined ingestion with the given per-worker queue depth
-    /// and a single producer routing on the calling thread
+    /// Selects pipelined ingestion with the given per-shard ring depth
     /// (see [`IngestMode::Pipelined`]).
     pub fn pipelined(self, queue_depth: usize) -> Self {
-        self.pipelined_producers(queue_depth, 1)
+        self.ingest(IngestMode::Pipelined { queue_depth })
     }
 
-    /// Selects pipelined ingestion with `producers` routing threads and
-    /// the given per-(producer, shard) ring depth
-    /// (see [`IngestMode::Pipelined`]).
-    pub fn pipelined_producers(self, queue_depth: usize, producers: usize) -> Self {
-        self.ingest(IngestMode::Pipelined {
-            queue_depth,
-            producers,
-        })
-    }
-
-    /// Selects round-based bulk-parallel ingestion with probe
-    /// derivation on the calling thread (see [`IngestMode::Rounds`]).
+    /// Selects round-based bulk-parallel ingestion
+    /// (see [`IngestMode::Rounds`]).
     pub fn rounds(self) -> Self {
-        self.rounds_producers(1)
-    }
-
-    /// Selects round-based bulk-parallel ingestion with `producers`
-    /// propose threads (see [`IngestMode::Rounds`]). Results never
-    /// depend on the thread count.
-    pub fn rounds_producers(self, producers: usize) -> Self {
-        self.ingest(IngestMode::Rounds { producers })
+        self.ingest(IngestMode::Rounds)
     }
 
     /// Checks the config's structural invariants, returning the first
@@ -285,29 +239,18 @@ impl EngineConfig {
     /// ([`Engine::with_scheme_factory`]/[`Engine::by_name`]) call this and
     /// panic with the error's message, so an `EngineConfig::pipelined(3)`
     /// fails when the engine is built — naming the offending builder call
-    /// — rather than deep inside `serve_pipelined_producers` mid-run.
+    /// — rather than mid-serve. This is the only place queue depths are
+    /// checked.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.shards == 0 {
             return Err(ConfigError::ZeroShards);
         }
-        if let IngestMode::Pipelined {
-            queue_depth,
-            producers,
-        } = self.ingest
-        {
+        if let IngestMode::Pipelined { queue_depth } = self.ingest {
             if queue_depth == 0 {
                 return Err(ConfigError::ZeroQueueDepth);
             }
             if !queue_depth.is_power_of_two() {
                 return Err(ConfigError::QueueDepthNotPowerOfTwo(queue_depth));
-            }
-            if producers == 0 {
-                return Err(ConfigError::ZeroProducers);
-            }
-        }
-        if let IngestMode::Rounds { producers } = self.ingest {
-            if producers == 0 {
-                return Err(ConfigError::ZeroRoundsProducers);
             }
         }
         Ok(())
@@ -323,19 +266,8 @@ pub fn route(key: u64, shards: usize) -> usize {
     ((mixed as u128 * shards as u128) >> 64) as usize
 }
 
-/// One shipped unit on the pipelined hot path: the ops a producer routed
-/// to one shard from one stream chunk, stamped with the sequence number
-/// the worker's deterministic merge orders by. With a single producer,
-/// `seq` is the per-shard ship index; with N producers it is the global
-/// chunk index (chunk `k` is routed by producer `k % N`, so the worker's
-/// round-robin receive replays chunks in stream order).
-struct Batch {
-    seq: u64,
-    ops: Vec<Op>,
-}
-
 /// One unit of work for a persistent shard worker. The shard travels
-/// *by value* through the channel — a shallow move of the struct, not a
+/// *by value* through the job ring — a shallow move of the struct, not a
 /// deep copy of its bin table and key index — so between jobs the engine
 /// keeps full ownership (and `&`-access) to every shard.
 enum Job<S> {
@@ -349,20 +281,17 @@ enum Job<S> {
         ops: Vec<Op>,
     },
     /// Pipelined mode: own the shard for a whole ingestion stream,
-    /// applying batches as the producers ship them into this shard's
-    /// SPSC rings, until every producer disconnects. Drained op buffers
-    /// return through `recycle` so producers refill them instead of
-    /// allocating fresh ones.
+    /// applying batches in the order the engine ships them into this
+    /// shard's SPSC ring, until the engine disconnects it. Drained op
+    /// buffers return through `recycle` so the engine refills them
+    /// instead of allocating fresh ones.
     Stream {
         /// The worker's shard, shipped for the duration of the stream.
         shard: Shard<S>,
-        /// One bounded SPSC ring per producer; the worker merges them in
-        /// deterministic (producer, seq) round-robin order. Disconnect of
-        /// the ring whose turn it is ends the stream.
-        batches: Vec<spsc::RingConsumer<Batch>>,
-        /// Return paths for drained op buffers, indexed like `batches`
-        /// (each buffer goes home to the producer that filled it).
-        recycle: Vec<channel::Sender<Vec<Op>>>,
+        /// This shard's bounded batch ring.
+        batches: spsc::RingConsumer<Vec<Op>>,
+        /// Return path for drained op buffers.
+        recycle: mpsc::Sender<Vec<Op>>,
         /// Whether to time each batch apply for metrics (set only when a
         /// sink is attached, so untracked streams pay nothing).
         track: bool,
@@ -385,7 +314,7 @@ enum Job<S> {
 /// for reuse (batch jobs; stream jobs recycle buffers through their own
 /// channel and return an empty placeholder), and — for tracked stream
 /// jobs — the per-batch apply latencies, in batch arrival order, that
-/// the engine joins with its producer-side ship records.
+/// the engine joins with its ship-side records.
 struct JobDone<S> {
     shard: Shard<S>,
     summary: BatchSummary,
@@ -397,16 +326,22 @@ struct JobDone<S> {
 }
 
 /// The persistent worker pool: one long-lived thread per shard, fed
-/// through a per-worker job channel and reporting through a per-worker
-/// results channel. Per-worker result channels (rather than one shared
-/// queue) make worker death observable: a panicking worker drops its
-/// sender, so the engine's `recv` on that worker's channel errors out
-/// instead of blocking forever. Dropping the pool closes the job channels
-/// (each worker's `recv` then errors out and the thread exits) and joins
-/// every handle — graceful shutdown without flags or timeouts.
+/// through a per-worker job ring and reporting through a per-worker
+/// results ring. Each is a capacity-1 [`spsc`] ring: the engine never has
+/// more than one job in flight per worker (it collects a job's result
+/// before sending the next), so sends never block, and a ring parks at
+/// once rather than spinning first. (With `std::sync::mpsc` here, rounds
+/// mode — one round trip per shard per round — ran ~24% slower on a
+/// 2-vCPU host.) Per-worker result
+/// rings (rather than one shared queue) make worker death observable: a
+/// panicking worker drops its producer, so the engine's `recv` on that
+/// worker's ring errors out instead of blocking forever. Dropping the
+/// pool closes the job rings (each worker's `recv` then errors out and
+/// the thread exits) and joins every handle — graceful shutdown without
+/// flags or timeouts.
 struct WorkerPool<S> {
-    jobs: Vec<channel::Sender<Job<S>>>,
-    results: Vec<channel::Receiver<JobDone<S>>>,
+    jobs: Vec<spsc::RingProducer<Job<S>>>,
+    results: Vec<spsc::RingConsumer<JobDone<S>>>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -416,8 +351,8 @@ impl<S: ChoiceScheme + 'static> WorkerPool<S> {
         let mut results = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
         for id in 0..shards {
-            let (tx, rx) = channel::channel::<Job<S>>();
-            let (results_tx, results_rx) = channel::channel();
+            let (tx, rx) = spsc::ring::<Job<S>>(1);
+            let (results_tx, results_rx) = spsc::ring(1);
             let handle = std::thread::Builder::new()
                 .name(format!("ba-shard-{id}"))
                 .spawn(move || {
@@ -455,28 +390,11 @@ impl<S: ChoiceScheme + 'static> WorkerPool<S> {
                             } => {
                                 let mut summary = BatchSummary::default();
                                 let mut applies = Vec::new();
-                                let producers = batches.len();
-                                // Deterministic cross-producer merge: chunk
-                                // `k` of the stream was routed by producer
-                                // `k % producers` and shipped with `seq = k`
-                                // (producers ship one batch per chunk per
-                                // shard, empty ones included), so receiving
-                                // in strict round-robin replays this shard's
-                                // ops in stream order. A disconnect at the
-                                // ring whose turn it is proves no later
-                                // chunk exists anywhere — producers ship
-                                // their chunks in order before exiting — so
-                                // the whole stream has drained.
-                                let mut chunk = 0usize;
-                                loop {
-                                    let p = chunk % producers;
-                                    let Ok(Batch { seq, mut ops }) = batches[p].recv() else {
-                                        break;
-                                    };
-                                    debug_assert_eq!(
-                                        seq as usize, chunk,
-                                        "cross-producer merge out of order"
-                                    );
+                                // The ring delivers batches in ship order,
+                                // and disconnects only after the last one
+                                // drains, so this replays the shard's ops
+                                // in stream order.
+                                while let Ok(mut ops) = batches.recv() {
                                     if track {
                                         let t0 = Instant::now();
                                         summary.absorb(&shard.apply(&ops));
@@ -485,11 +403,10 @@ impl<S: ChoiceScheme + 'static> WorkerPool<S> {
                                         summary.absorb(&shard.apply(&ops));
                                     }
                                     ops.clear();
-                                    // A recycle error means the producer is
+                                    // A recycle error means the engine is
                                     // gone (it panicked); keep draining so
                                     // the stream still ends cleanly.
-                                    let _ = recycle[p].send(ops);
-                                    chunk += 1;
+                                    let _ = recycle.send(ops);
                                 }
                                 JobDone {
                                     shard,
@@ -530,7 +447,7 @@ impl<S> fmt::Debug for WorkerPool<S> {
 
 impl<S> Drop for WorkerPool<S> {
     fn drop(&mut self) {
-        // Disconnect every job channel; workers drain and exit.
+        // Disconnect every job ring; workers drain and exit.
         self.jobs.clear();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
@@ -545,7 +462,7 @@ impl<S> Drop for WorkerPool<S> {
 /// [`ChoiceScheme`] — drawn from the shard's private RNG stream
 /// ([`ChoiceMode::Stream`]) or derived from each key
 /// ([`ChoiceMode::Keyed`]). Batches of [`Op`]s are partitioned by
-/// [`route`] and applied to all shards — by persistent channel-fed worker
+/// [`route`] and applied to all shards — by persistent ring-fed worker
 /// threads under [`WorkerMode::Persistent`] — and each shard's outcome
 /// depends only on its own ordered op subsequence, so the engine's final
 /// state is bit-identical between sequential and parallel application and
@@ -617,18 +534,14 @@ fn op_mix(ops: &[Op]) -> (u32, u32, u32) {
     (inserts, deletes, lookups)
 }
 
-/// Producer-side half of a pipelined batch measurement: everything known
-/// at ship time, joined with the worker-side apply latency at stream end.
+/// Ship-side half of a pipelined batch measurement: everything known at
+/// ship time, joined with the worker-side apply latency at stream end.
 /// `(shard, chunk)` addresses the matching apply sample — `chunk` is the
-/// per-shard ship index under a single producer and the global chunk
-/// index under N producers; either way it equals the worker's receive
-/// index for that shard.
+/// per-shard ship index, which equals the worker's receive index.
 struct PendingShip {
     at: Duration,
     shard: usize,
     chunk: u64,
-    producer: u32,
-    routed: Duration,
     ops: u32,
     inserts: u32,
     deletes: u32,
@@ -636,136 +549,6 @@ struct PendingShip {
     stalls: u32,
     stalled: Duration,
     occupancy: u32,
-}
-
-/// What one producer thread hands back after its slice of the stream is
-/// routed and shipped: its ship-side metric halves, its recycle receiver
-/// (drained into the engine's spare pool after the workers finish), its
-/// leftover buffers, and — if a ring send failed — the shard whose
-/// worker died, so the engine can surface that worker's panic.
-struct ProducerReport {
-    pending: Vec<PendingShip>,
-    recycle: channel::Receiver<Vec<Op>>,
-    spare: Vec<Vec<Op>>,
-    dead_shard: Option<usize>,
-}
-
-/// Grabs a cleared op buffer: recycled from a worker if one is waiting,
-/// a retained spare otherwise, a fresh allocation only during warm-up.
-fn grab_buffer(
-    spare: &mut Vec<Vec<Op>>,
-    recycle: &channel::Receiver<Vec<Op>>,
-    batch_size: usize,
-) -> Vec<Op> {
-    let mut buf = recycle
-        .try_recv()
-        .or_else(|| spare.pop())
-        .unwrap_or_default();
-    buf.clear();
-    buf.reserve(batch_size);
-    buf
-}
-
-/// The routing stage one producer thread runs under
-/// [`Engine::serve_pipelined_producers`] with `producers > 1`: receive
-/// `(chunk_index, ops)` chunks from the calling thread, route each chunk
-/// into per-shard buffers, and ship one [`Batch`] per shard per chunk —
-/// empty ones included, so every worker's (producer, seq) round-robin
-/// merge stays aligned with the chunk index.
-#[allow(clippy::too_many_arguments)]
-fn producer_stage(
-    producer: u32,
-    rings: Vec<spsc::RingProducer<Batch>>,
-    recycle: channel::Receiver<Vec<Op>>,
-    chunks: channel::Receiver<(u64, Vec<Op>)>,
-    chunks_back: channel::Sender<Vec<Op>>,
-    batch_size: usize,
-    started: Instant,
-    track: bool,
-) -> ProducerReport {
-    let shards = rings.len();
-    let mut pending = Vec::new();
-    let mut spare: Vec<Vec<Op>> = Vec::new();
-    let mut filling: Vec<Vec<Op>> = (0..shards)
-        .map(|_| grab_buffer(&mut spare, &recycle, batch_size))
-        .collect();
-    while let Ok((chunk, mut buf)) = chunks.recv() {
-        let route_t0 = track.then(Instant::now);
-        let chunk_ops = buf.len();
-        for &op in &buf {
-            filling[route(op.key(), shards)].push(op);
-        }
-        // Routing cost for the whole chunk; attributed to shipped
-        // batches below, proportionally to their share of the chunk.
-        let routed_chunk = route_t0.map(|t| t.elapsed()).unwrap_or_default();
-        buf.clear();
-        let _ = chunks_back.send(buf);
-        for (s, ring) in rings.iter().enumerate() {
-            let full = std::mem::replace(
-                &mut filling[s],
-                grab_buffer(&mut spare, &recycle, batch_size),
-            );
-            let batch_ops = full.len();
-            if !track {
-                if ring
-                    .send(Batch {
-                        seq: chunk,
-                        ops: full,
-                    })
-                    .is_err()
-                {
-                    return ProducerReport {
-                        pending,
-                        recycle,
-                        spare,
-                        dead_shard: Some(s),
-                    };
-                }
-                continue;
-            }
-            let (inserts, deletes, lookups) = op_mix(&full);
-            let Ok(stalled) = ring.send_tracked(Batch {
-                seq: chunk,
-                ops: full,
-            }) else {
-                return ProducerReport {
-                    pending,
-                    recycle,
-                    spare,
-                    dead_shard: Some(s),
-                };
-            };
-            let routed = if chunk_ops > 0 {
-                routed_chunk.mul_f64(batch_ops as f64 / chunk_ops as f64)
-            } else {
-                Duration::ZERO
-            };
-            pending.push(PendingShip {
-                at: started.elapsed(),
-                shard: s,
-                chunk,
-                producer,
-                routed,
-                ops: batch_ops as u32,
-                inserts,
-                deletes,
-                lookups,
-                stalls: u32::from(stalled > Duration::ZERO),
-                stalled,
-                occupancy: ring.queued() as u32,
-            });
-        }
-    }
-    // Chunk distribution disconnected: the stream is over. Every chunk
-    // shipped in full, so the filling buffers are all empty — keep their
-    // capacity. Dropping `rings` (by returning) disconnects the workers.
-    spare.extend(filling);
-    ProducerReport {
-        pending,
-        recycle,
-        spare,
-        dead_shard: None,
-    }
 }
 
 impl Engine<AnyScheme> {
@@ -787,8 +570,8 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
     ///
     /// Panics with the [`ConfigError`]'s message — which names the
     /// offending builder call — if the config fails
-    /// [`EngineConfig::validate`], so a bad pipeline depth or producer
-    /// count is rejected here rather than mid-serve.
+    /// [`EngineConfig::validate`], so a bad pipeline depth is rejected
+    /// here rather than mid-serve.
     pub fn with_scheme_factory(config: EngineConfig, factory: impl Fn(&EngineConfig) -> S) -> Self {
         if let Err(err) = config.validate() {
             panic!("invalid EngineConfig: {err}");
@@ -799,7 +582,7 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
         // Rounds mode places over the global bin space: build one extra
         // scheme spanning every shard's bins by handing the factory a
         // synthetic single-shard config of the global size.
-        let rounds = matches!(config.ingest, IngestMode::Rounds { .. }).then(|| {
+        let rounds = (config.ingest == IngestMode::Rounds).then(|| {
             let mut global = config.clone();
             global.bins_per_shard = config.shards as u64 * config.bins_per_shard;
             global.shards = 1;
@@ -859,7 +642,7 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
 
     /// Drains the non-fatal configuration warnings recorded while
     /// serving, oldest first. Warnings flag hazards that degrade
-    /// throughput but never correctness — today the one producer is
+    /// throughput but never correctness — today the one source is
     /// [`Engine::serve_replay`] clamping a pipelined `batch_size` smaller
     /// than the shard count (see its docs). Each hazard is recorded once
     /// per serving call, so callers polling between calls see every
@@ -954,13 +737,11 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
             seq: self.emitted,
             at,
             shard: None,
-            producer: 0,
             ops: ops.len() as u32,
             inserts,
             deletes,
             lookups,
             apply,
-            routed: Duration::ZERO,
             queue_occupancy: 0,
             stalls: 0,
             stalled: Duration::ZERO,
@@ -973,8 +754,8 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
 
     /// The sink-free batch application path shared by every worker mode.
     fn apply_batch_inner(&mut self, ops: &[Op]) -> BatchSummary {
-        if let IngestMode::Rounds { producers } = self.config.ingest {
-            return self.apply_batch_rounds(ops, producers);
+        if self.config.ingest == IngestMode::Rounds {
+            return self.apply_batch_rounds(ops);
         }
         let mut total = BatchSummary::default();
         if self.shards.len() == 1 {
@@ -994,28 +775,6 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
                     }
                     let shard = slot.as_mut().expect("shard present between batches");
                     total.absorb(&shard.apply(ops));
-                }
-            }
-            WorkerMode::Scoped => {
-                let scratch = &self.scratch;
-                let summaries = std::thread::scope(|scope| {
-                    let handles: Vec<_> = self
-                        .shards
-                        .iter_mut()
-                        .zip(scratch.iter())
-                        .filter(|(_, ops)| !ops.is_empty())
-                        .map(|(slot, ops)| {
-                            let shard = slot.as_mut().expect("shard present between batches");
-                            scope.spawn(move || shard.apply(ops))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("shard worker panicked"))
-                        .collect::<Vec<_>>()
-                });
-                for summary in &summaries {
-                    total.absorb(summary);
                 }
             }
             WorkerMode::Persistent => {
@@ -1068,7 +827,7 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
     /// pre-batch state, deletes apply in ascending key order against
     /// pre-batch placements, then the batch's inserts resolve in
     /// synchronized propose/resolve rounds over the global bin space.
-    fn apply_batch_rounds(&mut self, ops: &[Op], producers: usize) -> BatchSummary {
+    fn apply_batch_rounds(&mut self, ops: &[Op]) -> BatchSummary {
         let mut st = self
             .rounds
             .take()
@@ -1140,43 +899,20 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
 
         // Propose prep: each ball's d global probes and its tie hash,
         // derived once. `instance` numbers duplicate inserts of a key so
-        // their ties differ. The derivation is embarrassingly parallel:
-        // `producers` scoped threads fill disjoint chunks of the arena.
-        let mut instances = vec![0u64; balls];
-        for i in 1..balls {
-            if keys[i] == keys[i - 1] {
-                instances[i] = instances[i - 1] + 1;
-            }
-        }
+        // their ties differ. One batched-kernel dispatch fills the whole
+        // probe matrix (row i = ball i's d global probes), bit-identical
+        // to per-ball choices_for by contract.
         let mut probes = vec![0u64; balls * d];
-        let mut ties = vec![0u64; balls];
-        {
-            let scheme = &st.scheme;
-            let salt = st.salt;
-            let fill = |keys: &[u64], inst: &[u64], probes: &mut [u64], ties: &mut [u64]| {
-                // One batched-kernel dispatch fills the whole chunk's
-                // probe matrix (row i = ball i's d global probes),
-                // bit-identical to per-ball choices_for by contract.
-                scheme.choices_for_batch(keys, salt, probes);
-                for (i, (&key, &instance)) in keys.iter().zip(inst).enumerate() {
-                    ties[i] = tie_hash(key, salt, instance);
-                }
-            };
-            if producers > 1 && balls >= producers {
-                let chunk = balls.div_ceil(producers);
-                std::thread::scope(|scope| {
-                    for (((keys, inst), probes), ties) in keys
-                        .chunks(chunk)
-                        .zip(instances.chunks(chunk))
-                        .zip(probes.chunks_mut(chunk * d))
-                        .zip(ties.chunks_mut(chunk))
-                    {
-                        scope.spawn(move || fill(keys, inst, probes, ties));
-                    }
-                });
+        st.scheme.choices_for_batch(&keys, st.salt, &mut probes);
+        let mut ties = Vec::with_capacity(balls);
+        let mut instance = 0u64;
+        for (i, &key) in keys.iter().enumerate() {
+            instance = if i > 0 && key == keys[i - 1] {
+                instance + 1
             } else {
-                fill(&keys, &instances, &mut probes, &mut ties);
-            }
+                0
+            };
+            ties.push(tie_hash(key, st.salt, instance));
         }
 
         // The round loop. The threshold starts one above the emptiest
@@ -1263,11 +999,11 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
     }
 
     /// Resolves one synchronized round across the shards, dispatching on
-    /// the configured [`WorkerMode`] exactly like phased batches:
-    /// inline, scoped threads, or the persistent pool via
-    /// [`Job::Resolve`]. Returns each shard's accepted proposals,
-    /// indexed by shard id. The outcome is mode-independent: a bin's
-    /// acceptances depend only on its own proposals and threshold.
+    /// the configured [`WorkerMode`] exactly like phased batches: inline
+    /// or the persistent pool via [`Job::Resolve`]. Returns each shard's
+    /// accepted proposals, indexed by shard id. The outcome is
+    /// mode-independent: a bin's acceptances depend only on its own
+    /// proposals and threshold.
     fn resolve_round(
         &mut self,
         proposals: &mut [Vec<Proposal>],
@@ -1287,28 +1023,6 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
                     shard.rounds_resolve(std::mem::take(props), threshold)
                 })
                 .collect(),
-            WorkerMode::Scoped => std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .zip(proposals.iter_mut())
-                    .map(|(slot, props)| {
-                        if props.is_empty() {
-                            return None;
-                        }
-                        let shard = slot.as_mut().expect("shard present between batches");
-                        let props = std::mem::take(props);
-                        Some(scope.spawn(move || shard.rounds_resolve(props, threshold)))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|handle| match handle {
-                        Some(handle) => handle.join().expect("shard worker panicked"),
-                        None => Vec::new(),
-                    })
-                    .collect()
-            }),
             WorkerMode::Persistent => {
                 let pool = self.pool.get_or_insert_with(|| WorkerPool::spawn(shards));
                 for (id, props) in proposals.iter_mut().enumerate() {
@@ -1362,9 +1076,9 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
     /// buffers one batch at a time, so replaying a capture costs the same
     /// memory as serving live traffic. Equivalent to collecting the
     /// iterator and calling [`Engine::serve`]. Under
-    /// [`IngestMode::Pipelined`] the stream flows through
-    /// [`Engine::serve_pipelined`] instead of phased chunking — results
-    /// are bit-identical either way.
+    /// [`IngestMode::Pipelined`] the calling thread routes the stream
+    /// into per-shard SPSC rings while the workers apply, instead of
+    /// phased chunking — results are bit-identical either way.
     ///
     /// # Panics
     ///
@@ -1384,11 +1098,7 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
         batch_size: usize,
     ) -> BatchSummary {
         assert!(batch_size > 0, "batch size must be positive");
-        if let IngestMode::Pipelined {
-            queue_depth,
-            producers,
-        } = self.config.ingest
-        {
+        if let IngestMode::Pipelined { queue_depth } = self.config.ingest {
             // `batch_size` keeps its phased meaning — ops per engine-wide
             // batch — so the ingest axis never changes per-worker message
             // granularity: each shard sees ~batch_size/shards ops per
@@ -1403,8 +1113,8 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
                      shard count to amortize ring traffic"
                 ));
             }
-            let per_shard = (batch_size / self.shards.len()).max(1);
-            return self.serve_pipelined_producers(ops, per_shard, queue_depth, producers);
+            let per_shard = (batch_size / shards).max(1);
+            return self.serve_pipelined(ops, per_shard, queue_depth);
         }
         let mut total = BatchSummary::default();
         let mut buf = std::mem::take(&mut self.replay_buf);
@@ -1426,98 +1136,36 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
     }
 
     /// Serves an op stream with production and application overlapped:
-    /// the calling thread acts as the producer stage — routing each op
-    /// into a per-shard buffer and shipping full buffers into that
-    /// shard's bounded SPSC ring (see [`crate::spsc`]) — while every
-    /// persistent worker applies previously shipped batches
-    /// concurrently. A ring at `queue_depth` blocks the producer until
-    /// its worker catches up (backpressure), so memory stays bounded by
-    /// `shards × (queue_depth + 2) × batch_size` ops regardless of
-    /// stream length.
+    /// the calling thread routes each op into a per-shard buffer and
+    /// ships full buffers into that shard's bounded SPSC ring (see
+    /// [`crate::spsc`]), while every persistent worker applies previously
+    /// shipped batches concurrently. A ring at `queue_depth` blocks the
+    /// calling thread until its worker catches up (backpressure), so
+    /// memory stays bounded by `shards × (queue_depth + 2) × batch_size`
+    /// ops regardless of stream length.
     ///
     /// Each shard still applies exactly its routed subsequence in arrival
     /// order, so the outcome — shard loads, max load, batch summary, and
     /// every [`EngineStats`](crate::EngineStats) percentile — is
-    /// bit-identical to phased serving in any [`WorkerMode`], including
-    /// [`WorkerMode::Sequential`]. Only throughput differs: here the
-    /// producer (op generation, routing) runs concurrently with shard
-    /// application instead of alternating with it.
+    /// bit-identical to phased serving in any [`WorkerMode`]. Only
+    /// throughput differs: op generation and routing run concurrently
+    /// with shard application instead of alternating with it.
     ///
-    /// `batch_size` here is the *per-shard* batch granularity: each
-    /// worker receives batches of up to `batch_size` ops. (The config-
-    /// driven entry points [`Engine::serve`]/[`Engine::serve_replay`]
-    /// pass `batch_size / shards` so their `batch_size` argument keeps
-    /// one meaning across ingest modes.) Drained batch buffers recycle
-    /// back to the producer — and persist on the engine across calls —
-    /// so steady-state ingestion performs no allocation. This path
-    /// always uses the persistent worker pool (spawning it on first
-    /// use) regardless of [`EngineConfig::workers`], which only governs
-    /// phased [`Engine::apply_batch`] application.
-    ///
-    /// Equivalent to [`Engine::serve_pipelined_producers`] with a single
-    /// producer (no fan-out stage; routing stays on the calling thread).
+    /// `batch_size` here is the *per-shard* batch granularity;
+    /// [`Engine::serve_replay`] passes `batch_size / shards` so its own
+    /// `batch_size` argument keeps one meaning across ingest modes.
+    /// Drained batch buffers recycle back to the calling thread — and
+    /// persist on the engine across calls — so steady-state ingestion
+    /// performs no allocation. This path always uses the persistent
+    /// worker pool (spawning it on first use) regardless of
+    /// [`EngineConfig::workers`], which only governs phased
+    /// [`Engine::apply_batch`] application.
     ///
     /// # Panics
     ///
-    /// Panics if `batch_size` is zero, if `queue_depth` is zero or not a
-    /// power of two (the ring's granularity), or if a shard worker
-    /// panics mid-stream (the worker's panic is surfaced, never a
-    /// deadlock).
-    pub fn serve_pipelined(
-        &mut self,
-        ops: impl IntoIterator<Item = Op>,
-        batch_size: usize,
-        queue_depth: usize,
-    ) -> BatchSummary {
-        self.serve_pipelined_producers(ops, batch_size, queue_depth, 1)
-    }
-
-    /// [`Engine::serve_pipelined`] with `producers` routing threads
-    /// between the calling thread and the shard workers.
-    ///
-    /// With `producers == 1` this is exactly [`Engine::serve_pipelined`]:
-    /// the calling thread routes and ships. With `N > 1` the calling
-    /// thread slices the stream into chunks of
-    /// `batch_size × shards` ops handed round-robin to N producer
-    /// threads (chunk `k` to producer `k % N`); each producer routes its
-    /// chunks into per-shard batches and ships them — stamped with the
-    /// chunk index as the sequence number — into its own SPSC ring per
-    /// shard. Every shard worker merges its N rings in deterministic
-    /// (producer, seq) round-robin order, which replays that shard's
-    /// routed subsequence exactly in stream order: placements, stats
-    /// percentiles, and summaries are bit-identical to sequential
-    /// serving regardless of producer count or thread timing.
-    ///
-    /// Memory stays bounded: `producers × shards × queue_depth` ring
-    /// slots plus two distribution chunks per producer.
-    ///
-    /// # Panics
-    ///
-    /// As [`Engine::serve_pipelined`], plus if `producers` is zero.
-    pub fn serve_pipelined_producers(
-        &mut self,
-        ops: impl IntoIterator<Item = Op>,
-        batch_size: usize,
-        queue_depth: usize,
-        producers: usize,
-    ) -> BatchSummary {
-        assert!(batch_size > 0, "batch size must be positive");
-        assert!(queue_depth > 0, "queue depth must be positive");
-        assert!(
-            queue_depth.is_power_of_two(),
-            "queue depth must be a power of two (SPSC ring granularity), got {queue_depth}"
-        );
-        assert!(producers >= 1, "need at least one producer");
-        if producers == 1 {
-            self.pipeline_single(ops, batch_size, queue_depth)
-        } else {
-            self.pipeline_fanned(ops, batch_size, queue_depth, producers)
-        }
-    }
-
-    /// The single-producer pipelined path: route and ship on the calling
-    /// thread. See [`Engine::serve_pipelined`].
-    fn pipeline_single(
+    /// Panics if a shard worker panics mid-stream (the worker's panic is
+    /// surfaced, never a deadlock).
+    fn serve_pipelined(
         &mut self,
         ops: impl IntoIterator<Item = Op>,
         batch_size: usize,
@@ -1531,13 +1179,13 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
         let mut batches = Vec::with_capacity(shards);
         let mut recycled = Vec::with_capacity(shards);
         for (id, slot) in self.shards.iter_mut().enumerate() {
-            let (batch_tx, batch_rx) = spsc::ring::<Batch>(queue_depth);
-            let (recycle_tx, recycle_rx) = channel::channel();
+            let (batch_tx, batch_rx) = spsc::ring::<Vec<Op>>(queue_depth);
+            let (recycle_tx, recycle_rx) = mpsc::channel();
             let shard = slot.take().expect("shard present between batches");
             let job = Job::Stream {
                 shard,
-                batches: vec![batch_rx],
-                recycle: vec![recycle_tx],
+                batches: batch_rx,
+                recycle: recycle_tx,
                 track,
             };
             if pool.jobs[id].send(job).is_err() {
@@ -1546,31 +1194,26 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
             batches.push(batch_tx);
             recycled.push(recycle_rx);
         }
-        // Producer-side measurement: one PendingShip per shipped batch,
+        // Ship-side measurement: one PendingShip per shipped batch,
         // joined with its worker-side apply latency after the drain.
         let started = self.started;
         let mut pending: Vec<PendingShip> = Vec::new();
         let mut shipped = vec![0u64; shards];
-        let mut ship = |id: usize, full: Vec<Op>, batches: &[spsc::RingProducer<Batch>]| {
-            let seq = shipped[id];
+        let mut ship = |id: usize, full: Vec<Op>, batches: &[spsc::RingProducer<Vec<Op>>]| {
+            let chunk = shipped[id];
             shipped[id] += 1;
             if !track {
-                return batches[id].send(Batch { seq, ops: full }).is_ok();
+                return batches[id].send(full).is_ok();
             }
             let (inserts, deletes, lookups) = op_mix(&full);
             let ops = full.len() as u32;
-            let Ok(stalled) = batches[id].send_tracked(Batch { seq, ops: full }) else {
+            let Ok(stalled) = batches[id].send_tracked(full) else {
                 return false;
             };
             pending.push(PendingShip {
                 at: started.elapsed(),
                 shard: id,
-                chunk: seq,
-                producer: 0,
-                // Routing is interleaved op-by-op with stream pull on
-                // this path, not a separable stage; reported as zero
-                // rather than a made-up split.
-                routed: Duration::ZERO,
+                chunk,
                 ops,
                 inserts,
                 deletes,
@@ -1581,11 +1224,11 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
             });
             true
         };
-        // Producer stage: route ops into per-shard filling buffers; a
-        // full buffer ships into the bounded ring (blocking only when
-        // the worker is queue_depth batches behind) and is replaced by a
-        // recycled buffer the worker already drained, a spare from a
-        // previous call, or — only while the pipeline warms up — a fresh
+        // Route ops into per-shard filling buffers; a full buffer ships
+        // into the bounded ring (blocking only when the worker is
+        // queue_depth batches behind) and is replaced by a recycled
+        // buffer the worker already drained, a spare from a previous
+        // call, or — only while the pipeline warms up — a fresh
         // allocation. Past warm-up this loop allocates nothing, across
         // calls included.
         let mut spare = std::mem::take(&mut self.spare_buffers);
@@ -1607,7 +1250,10 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
                 if !ship(id, full, &batches) {
                     panic!("shard worker {id} panicked");
                 }
-                filling[id] = recycled[id].try_recv().unwrap_or_else(|| grab(&mut spare));
+                filling[id] = recycled[id]
+                    .try_recv()
+                    .ok()
+                    .unwrap_or_else(|| grab(&mut spare));
             }
         }
         for (id, buf) in filling.into_iter().enumerate() {
@@ -1634,188 +1280,20 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
             total.absorb(&done.summary);
             applies.push(done.applies);
         }
-        // Reclaim every buffer the workers drained after the producer
-        // stopped picking them up; the next serve_pipelined call starts
+        // Reclaim every buffer the workers drained after the calling
+        // thread stopped picking them up; the next pipelined call starts
         // from this pool instead of the allocator.
         for rx in &recycled {
-            while let Some(buf) = rx.try_recv() {
-                spare.push(buf);
-            }
+            spare.extend(rx.try_iter());
         }
         self.spare_buffers = spare;
         self.emit_stream_records(pending, &applies);
         total
     }
 
-    /// The multi-producer pipelined path: fan chunks out to `producers`
-    /// routing threads. See [`Engine::serve_pipelined_producers`].
-    fn pipeline_fanned(
-        &mut self,
-        ops: impl IntoIterator<Item = Op>,
-        batch_size: usize,
-        queue_depth: usize,
-        producers: usize,
-    ) -> BatchSummary {
-        let shards = self.shards.len();
-        let track = self.sink.is_some();
-        let started = self.started;
-        let pool = self.pool.get_or_insert_with(|| WorkerPool::spawn(shards));
-        // Stage 0: a producers × shards matrix of SPSC rings. Producer p
-        // owns row p of senders; shard worker s receives column s and
-        // merges it in (producer, seq) round-robin order.
-        let mut ring_txs: Vec<Vec<spsc::RingProducer<Batch>>> = Vec::with_capacity(producers);
-        let mut ring_rxs: Vec<Vec<spsc::RingConsumer<Batch>>> =
-            (0..shards).map(|_| Vec::with_capacity(producers)).collect();
-        for _ in 0..producers {
-            let mut row = Vec::with_capacity(shards);
-            for col in ring_rxs.iter_mut() {
-                let (tx, rx) = spsc::ring::<Batch>(queue_depth);
-                row.push(tx);
-                col.push(rx);
-            }
-            ring_txs.push(row);
-        }
-        // Per-producer recycle channels; every worker holds a clone of
-        // each sender so drained buffers go home to the producer that
-        // filled them (the recycle path is MPSC and cold — only the
-        // batch rings are hot).
-        let mut recycle_txs = Vec::with_capacity(producers);
-        let mut recycle_rxs = Vec::with_capacity(producers);
-        for _ in 0..producers {
-            let (tx, rx) = channel::channel::<Vec<Op>>();
-            recycle_txs.push(tx);
-            recycle_rxs.push(rx);
-        }
-        for (id, slot) in self.shards.iter_mut().enumerate() {
-            let shard = slot.take().expect("shard present between batches");
-            let job = Job::Stream {
-                shard,
-                batches: std::mem::take(&mut ring_rxs[id]),
-                recycle: recycle_txs.clone(),
-                track,
-            };
-            if pool.jobs[id].send(job).is_err() {
-                panic!("shard worker {id} exited early");
-            }
-        }
-        drop(recycle_txs);
-        // Spare buffers feed the distribution stage here; producers warm
-        // up their own batch buffers in a chunk or two, and everything
-        // flows back to this pool at the end of the stream.
-        let mut spare = std::mem::take(&mut self.spare_buffers);
-        // Distribution stage on the calling thread: slice the stream
-        // into chunks of batch_size × shards ops, handing chunk k to
-        // producer k % producers over a shallow bounded channel (depth 2
-        // keeps each producer one chunk ahead without unbounded
-        // buffering). Routed-out chunk buffers come back for reuse.
-        let chunk_size = batch_size * shards;
-        let mut reports: Vec<ProducerReport> = Vec::with_capacity(producers);
-        std::thread::scope(|scope| {
-            let (chunk_back_tx, chunk_back_rx) = channel::channel::<Vec<Op>>();
-            let mut dist_txs = Vec::with_capacity(producers);
-            let mut handles = Vec::with_capacity(producers);
-            for (p, (rings, recycle_rx)) in ring_txs.into_iter().zip(recycle_rxs).enumerate() {
-                let (dist_tx, dist_rx) = channel::bounded::<(u64, Vec<Op>)>(2);
-                dist_txs.push(dist_tx);
-                let chunk_back = chunk_back_tx.clone();
-                handles.push(
-                    std::thread::Builder::new()
-                        .name(format!("ba-producer-{p}"))
-                        .spawn_scoped(scope, move || {
-                            producer_stage(
-                                p as u32, rings, recycle_rx, dist_rx, chunk_back, batch_size,
-                                started, track,
-                            )
-                        })
-                        .expect("spawn pipeline producer thread"),
-                );
-            }
-            drop(chunk_back_tx);
-            let mut grab_chunk = || {
-                let mut buf = chunk_back_rx
-                    .try_recv()
-                    .or_else(|| spare.pop())
-                    .unwrap_or_default();
-                buf.clear();
-                buf.reserve(chunk_size);
-                buf
-            };
-            let mut buf = grab_chunk();
-            let mut chunk: u64 = 0;
-            let mut alive = true;
-            for op in ops {
-                buf.push(op);
-                if buf.len() == chunk_size {
-                    let full = std::mem::take(&mut buf);
-                    if dist_txs[(chunk % producers as u64) as usize]
-                        .send((chunk, full))
-                        .is_err()
-                    {
-                        // The producer bailed (its worker died); stop
-                        // distributing and let the teardown below
-                        // surface the worker panic.
-                        alive = false;
-                        break;
-                    }
-                    chunk += 1;
-                    buf = grab_chunk();
-                }
-            }
-            if alive && !buf.is_empty() {
-                let _ = dist_txs[(chunk % producers as u64) as usize].send((chunk, buf));
-            } else {
-                spare.push(buf);
-            }
-            // Disconnect distribution: each producer finishes its queued
-            // chunks, ships them, and drops its rings, which ends every
-            // worker's stream.
-            drop(dist_txs);
-            for handle in handles {
-                match handle.join() {
-                    Ok(report) => reports.push(report),
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-            // Reclaim distribution chunk buffers.
-            while let Some(chunk_buf) = chunk_back_rx.try_recv() {
-                spare.push(chunk_buf);
-            }
-        });
-        let mut total = BatchSummary::default();
-        let mut applies: Vec<Vec<Duration>> = Vec::with_capacity(shards);
-        for id in 0..shards {
-            let done = pool.results[id]
-                .recv()
-                .unwrap_or_else(|_| panic!("shard worker {id} panicked"));
-            self.shards[id] = Some(done.shard);
-            total.absorb(&done.summary);
-            applies.push(done.applies);
-        }
-        // Fold the producer reports: reclaim their buffers, surface any
-        // worker death they observed, and gather the metric halves.
-        let mut pending: Vec<PendingShip> = Vec::new();
-        let mut dead: Option<usize> = None;
-        for report in reports {
-            while let Some(buf) = report.recycle.try_recv() {
-                spare.push(buf);
-            }
-            spare.extend(report.spare);
-            dead = dead.or(report.dead_shard);
-            pending.extend(report.pending);
-        }
-        self.spare_buffers = spare;
-        if let Some(id) = dead {
-            panic!("shard worker {id} panicked");
-        }
-        self.emit_stream_records(pending, &applies);
-        total
-    }
-
-    /// Joins producer-side ship records with worker-side apply latencies
-    /// — `(shard, chunk)` addresses the apply sample on both paths —
-    /// and emits the stream's records in ship-time order. Empty
-    /// merge-alignment batches (multi-producer only) carry no traffic
-    /// and emit no record.
+    /// Joins ship-side records with worker-side apply latencies —
+    /// `(shard, chunk)` addresses the apply sample — and emits the
+    /// stream's records in ship-time order.
     fn emit_stream_records(&mut self, pending: Vec<PendingShip>, applies: &[Vec<Duration>]) {
         let Some(mut sink) = self.sink.take() else {
             return;
@@ -1825,28 +1303,22 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
             applies.iter().map(Vec::len).sum::<usize>(),
             "ship records and apply samples must pair 1:1"
         );
-        let mut records = Vec::with_capacity(pending.len());
-        for ship in pending {
-            let apply = applies[ship.shard][ship.chunk as usize];
-            if ship.ops == 0 {
-                continue;
-            }
-            records.push(MetricRecord {
+        let mut records: Vec<MetricRecord> = pending
+            .into_iter()
+            .map(|ship| MetricRecord {
                 seq: 0, // assigned below, in ship-time order
                 at: ship.at,
                 shard: Some(ship.shard),
-                producer: ship.producer,
                 ops: ship.ops,
                 inserts: ship.inserts,
                 deletes: ship.deletes,
                 lookups: ship.lookups,
-                apply,
-                routed: ship.routed,
+                apply: applies[ship.shard][ship.chunk as usize],
                 queue_occupancy: ship.occupancy,
                 stalls: ship.stalls,
                 stalled: ship.stalled,
-            });
-        }
+            })
+            .collect();
         records.sort_by_key(|r| (r.at, r.shard));
         for mut record in records {
             record.seq = self.emitted;
@@ -1932,17 +1404,10 @@ mod tests {
         let ops = mixed_ops(20_000);
         let mut seq = engine(8, WorkerMode::Sequential);
         let ss = seq.serve(&ops, 1_024);
-        for workers in [WorkerMode::Scoped, WorkerMode::Persistent] {
-            let mut par = engine(8, workers);
-            let sp = par.serve(&ops, 1_024);
-            assert_eq!(sp, ss, "{workers:?}");
-            for (a, b) in par.shards().iter().zip(seq.shards()) {
-                assert_eq!(
-                    a.allocation().loads(),
-                    b.allocation().loads(),
-                    "{workers:?}"
-                );
-            }
+        let mut par = engine(8, WorkerMode::Persistent);
+        assert_eq!(par.serve(&ops, 1_024), ss);
+        for (a, b) in par.shards().iter().zip(seq.shards()) {
+            assert_eq!(a.allocation().loads(), b.allocation().loads());
         }
     }
 
@@ -2014,13 +1479,7 @@ mod tests {
         let mut phased = engine(4, WorkerMode::Persistent);
         let expected = phased.serve(&ops, 512);
         let cfg = EngineConfig::new(4, 256, 3).seed(42).pipelined(2);
-        assert_eq!(
-            cfg.ingest,
-            IngestMode::Pipelined {
-                queue_depth: 2,
-                producers: 1
-            }
-        );
+        assert_eq!(cfg.ingest, IngestMode::Pipelined { queue_depth: 2 });
         let mut via_serve = Engine::by_name("double", cfg.clone()).unwrap();
         assert_eq!(via_serve.serve(&ops, 512), expected);
         let mut via_replay = Engine::by_name("double", cfg).unwrap();
@@ -2078,38 +1537,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "queue depth")]
-    fn zero_queue_depth_rejected() {
-        engine(2, WorkerMode::Persistent).serve_pipelined([Op::Insert(1)], 8, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn non_power_of_two_queue_depth_rejected() {
-        engine(2, WorkerMode::Persistent).serve_pipelined([Op::Insert(1)], 8, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one producer")]
-    fn zero_producers_rejected() {
-        engine(2, WorkerMode::Persistent).serve_pipelined_producers([Op::Insert(1)], 8, 2, 0);
-    }
-
-    #[test]
     #[should_panic(expected = "EngineConfig::pipelined(3)")]
     fn invalid_pipeline_depth_rejected_at_construction() {
         // The fail-fast contract: a bad queue depth dies when the engine
         // is built — naming the builder call — never mid-serve.
         let _ = Engine::by_name("double", EngineConfig::new(2, 64, 3).pipelined(3));
-    }
-
-    #[test]
-    #[should_panic(expected = "EngineConfig::pipelined_producers(.., 0)")]
-    fn zero_pipeline_producers_rejected_at_construction() {
-        let _ = Engine::by_name(
-            "double",
-            EngineConfig::new(2, 64, 3).pipelined_producers(4, 0),
-        );
     }
 
     #[test]
@@ -2128,15 +1560,12 @@ mod tests {
             base.clone().pipelined(6).validate(),
             Err(ConfigError::QueueDepthNotPowerOfTwo(6))
         );
-        assert_eq!(
-            base.clone().pipelined_producers(4, 0).validate(),
-            Err(ConfigError::ZeroProducers)
-        );
+        assert_eq!(base.clone().rounds().validate(), Ok(()));
         // Each message carries the builder call that produced the value.
         let msg = ConfigError::QueueDepthNotPowerOfTwo(6).to_string();
         assert!(msg.contains("EngineConfig::pipelined(6)"), "{msg}");
-        let msg = ConfigError::ZeroProducers.to_string();
-        assert!(msg.contains("pipelined_producers"), "{msg}");
+        let msg = ConfigError::ZeroQueueDepth.to_string();
+        assert!(msg.contains("EngineConfig::pipelined(0)"), "{msg}");
     }
 
     #[test]
@@ -2163,123 +1592,6 @@ mod tests {
         assert!(pipelined.take_warnings().is_empty());
         pipelined.serve(&ops, 64);
         assert!(pipelined.take_warnings().is_empty());
-    }
-
-    #[test]
-    fn multi_producer_pipelined_equals_sequential_serving() {
-        // The tentpole contract at the unit level: the fanned routing
-        // stage and the (producer, seq) merge must be invisible in the
-        // results for any producer count × depth, including producer
-        // counts that do not divide the chunk count evenly.
-        let ops = mixed_ops(20_000);
-        let mut seq = engine(8, WorkerMode::Sequential);
-        let expected = seq.serve(&ops, 1_024);
-        for producers in [2usize, 3, 8] {
-            for depth in [1usize, 4] {
-                let mut pip = engine(8, WorkerMode::Sequential);
-                let got = pip.serve_pipelined_producers(ops.iter().copied(), 128, depth, producers);
-                assert_eq!(got, expected, "producers {producers} depth {depth}");
-                assert!(
-                    pip.stats().matches(&seq.stats()),
-                    "producers {producers} depth {depth}"
-                );
-                for (a, b) in pip.shards().iter().zip(seq.shards()) {
-                    assert_eq!(
-                        a.allocation().loads(),
-                        b.allocation().loads(),
-                        "producers {producers} depth {depth}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn multi_producer_handles_empty_and_subchunk_streams() {
-        // No chunk is ever formed (empty stream) and a single partial
-        // chunk (shorter than batch_size × shards) both terminate every
-        // worker's round-robin merge cleanly.
-        let mut eng = engine(4, WorkerMode::Persistent);
-        assert_eq!(
-            eng.serve_pipelined_producers(std::iter::empty(), 64, 4, 3),
-            BatchSummary::default()
-        );
-        assert_eq!(eng.total_balls(), 0);
-        let mut seq = engine(4, WorkerMode::Sequential);
-        let ops = mixed_ops(10);
-        let expected = seq.serve(&ops, 64);
-        let got = eng.serve_pipelined_producers(ops.iter().copied(), 64, 4, 3);
-        assert_eq!(got, expected);
-        for (a, b) in eng.shards().iter().zip(seq.shards()) {
-            assert_eq!(a.allocation().loads(), b.allocation().loads());
-        }
-    }
-
-    #[test]
-    fn multi_producer_single_shard_and_repeated_calls() {
-        let ops = mixed_ops(5_000);
-        let mut seq = engine(1, WorkerMode::Sequential);
-        let mut pip = engine(1, WorkerMode::Sequential);
-        for chunk in ops.chunks(1_000) {
-            let a = seq.serve(chunk, 128);
-            let b = pip.serve_pipelined_producers(chunk.iter().copied(), 128, 2, 4);
-            assert_eq!(a, b);
-        }
-        assert_eq!(
-            seq.shard(0).allocation().loads(),
-            pip.shard(0).allocation().loads()
-        );
-        // Buffers reclaimed from producers and workers persist across
-        // calls on the engine's spare pool.
-        assert!(
-            !pip.spare_buffers.is_empty(),
-            "fanned pipeline buffers were dropped instead of pooled"
-        );
-    }
-
-    #[test]
-    fn multi_producer_worker_panic_propagates_instead_of_deadlocking() {
-        // A shard panicking mid-stream must surface as a panic in the
-        // fanned path too — producers bail via ring disconnect, the
-        // distribution stage stops, and the dead worker is reported —
-        // never a deadlock.
-        let result = std::panic::catch_unwind(|| {
-            let cfg = EngineConfig::new(2, 64, 1).seed(1).keyed();
-            let mut eng = Engine::with_scheme_factory(cfg, |_| Exploding { n: 64, poison: 42 });
-            eng.serve_pipelined_producers((0..4_096u64).map(Op::Insert), 8, 1, 3);
-        });
-        assert!(result.is_err(), "fanned worker panic was swallowed");
-    }
-
-    #[test]
-    fn multi_producer_sink_records_carry_producer_and_stay_bit_identical() {
-        // Sink attachment under fanned serving: results unchanged, every
-        // record attributed to a real (shard, producer) pair, sequence
-        // numbers dense in ship-time order, no empty alignment batches
-        // leaking through, and op totals conserved.
-        let ops = mixed_ops(8_000);
-        let mut plain = engine(4, WorkerMode::Persistent);
-        let expected = plain.serve(&ops, 1_024);
-        let sink = SharedSink::new();
-        let mut observed = engine(4, WorkerMode::Persistent);
-        observed.set_sink(Box::new(sink.clone()));
-        let got = observed.serve_pipelined_producers(ops.iter().copied(), 128, 2, 3);
-        assert_eq!(got, expected);
-        assert!(observed.stats().matches(&plain.stats()));
-        let records = sink.records();
-        assert!(!records.is_empty());
-        assert_eq!(records.iter().map(|r| u64::from(r.ops)).sum::<u64>(), 8_000);
-        assert!(records.iter().all(|r| r.ops > 0), "empty batch leaked");
-        assert!(records.iter().all(|r| r.shard.is_some()));
-        assert!(records.iter().all(|r| r.producer < 3));
-        let seen: std::collections::HashSet<u32> = records.iter().map(|r| r.producer).collect();
-        assert!(seen.len() > 1, "all records from one producer: {seen:?}");
-        for (i, r) in records.iter().enumerate() {
-            assert_eq!(r.seq, i as u64, "sequence numbers must be dense");
-        }
-        for pair in records.windows(2) {
-            assert!(pair[0].at <= pair[1].at, "ship-time order violated");
-        }
     }
 
     #[test]
@@ -2568,27 +1880,18 @@ mod tests {
             .collect()
     }
 
-    fn rounds_engine(shards: usize, workers: WorkerMode, producers: usize) -> Engine<AnyScheme> {
+    fn rounds_engine(shards: usize, workers: WorkerMode) -> Engine<AnyScheme> {
         let bins = 1024 / shards as u64; // constant 1024 global bins
         let cfg = EngineConfig::new(shards, bins, 3)
             .seed(42)
             .workers(workers)
-            .rounds_producers(producers);
+            .rounds();
         Engine::by_name("double", cfg).unwrap()
     }
 
     #[test]
-    fn rounds_config_validates_producers() {
-        assert_eq!(
-            EngineConfig::new(2, 64, 3).rounds_producers(0).validate(),
-            Err(ConfigError::ZeroRoundsProducers)
-        );
-        assert!(EngineConfig::new(2, 64, 3).rounds().validate().is_ok());
-    }
-
-    #[test]
     fn rounds_places_every_ball_and_reports() {
-        let mut e = rounds_engine(4, WorkerMode::Sequential, 1);
+        let mut e = rounds_engine(4, WorkerMode::Sequential);
         let ops: Vec<Op> = (0..800u64).map(Op::Insert).collect();
         let summary = e.apply_batch(&ops);
         assert_eq!(summary.inserts, 800);
@@ -2608,33 +1911,32 @@ mod tests {
     #[test]
     fn rounds_result_is_pure_in_the_batch_set() {
         // The tentpole contract at the unit level: permuting the ops
-        // within a batch, changing worker mode, propose-thread count, or
-        // shard count never changes the global bin vector or summary.
+        // within a batch, changing worker mode, or shard count never
+        // changes the global bin vector or summary.
         let mut ops = mixed_ops(6_000);
-        let mut base = rounds_engine(1, WorkerMode::Sequential, 1);
+        let mut base = rounds_engine(1, WorkerMode::Sequential);
         let expected = base.apply_batch(&ops);
         let expected_loads = global_loads(&base);
         ops.reverse();
-        for (shards, workers, producers) in [
-            (1, WorkerMode::Sequential, 4),
-            (2, WorkerMode::Scoped, 1),
-            (4, WorkerMode::Persistent, 2),
-            (8, WorkerMode::Persistent, 4),
+        for (shards, workers) in [
+            (1, WorkerMode::Sequential),
+            (4, WorkerMode::Persistent),
+            (8, WorkerMode::Persistent),
         ] {
-            let mut e = rounds_engine(shards, workers, producers);
+            let mut e = rounds_engine(shards, workers);
             let got = e.apply_batch(&ops);
-            assert_eq!(got, expected, "{shards} shards {workers:?} x{producers}");
+            assert_eq!(got, expected, "{shards} shards {workers:?}");
             assert_eq!(
                 global_loads(&e),
                 expected_loads,
-                "{shards} shards {workers:?} x{producers}"
+                "{shards} shards {workers:?}"
             );
         }
     }
 
     #[test]
     fn rounds_barriers_apply_deletes_and_lookups_against_pre_batch_state() {
-        let mut e = rounds_engine(2, WorkerMode::Sequential, 1);
+        let mut e = rounds_engine(2, WorkerMode::Sequential);
         e.apply_batch(&[Op::Insert(7), Op::Insert(7), Op::Insert(9)]);
         // Lookups see pre-batch placements; the same-batch delete of key
         // 9 cannot see the same-batch insert of key 11.
@@ -2673,10 +1975,10 @@ mod tests {
                 }
             })
             .collect();
-        let mut a = rounds_engine(4, WorkerMode::Persistent, 2);
+        let mut a = rounds_engine(4, WorkerMode::Persistent);
         a.apply_batch(&batch1);
         a.apply_batch(&batch2);
-        let mut b = rounds_engine(4, WorkerMode::Persistent, 2);
+        let mut b = rounds_engine(4, WorkerMode::Persistent);
         let mut shuffled1 = batch1.clone();
         shuffled1.rotate_left(123);
         b.apply_batch(&shuffled1);

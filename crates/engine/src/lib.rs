@@ -22,34 +22,33 @@
 //! * **Determinism** — shard `i` draws all randomness from
 //!   `SeedSequence::new(seed).child(i)`, and only inserts consume the
 //!   stream, so the final state is a pure function of `(config,
-//!   op stream)`: sequential, scoped, and persistent-worker application
-//!   agree bit-for-bit, and an insert-only shard reproduces
+//!   op stream)`: sequential and persistent-worker application agree
+//!   bit-for-bit, and an insert-only shard reproduces
 //!   `ba_core::run_process` (or `run_process_keys` in keyed mode) exactly.
 //! * **Persistent workers** — [`Engine::serve`] chunks an op stream into
 //!   batches; each batch is partitioned per shard (order-preserving,
 //!   into reusable scratch buffers — the hot path allocates nothing
 //!   after warm-up) and fanned out to one long-lived worker thread per
-//!   shard over in-repo MPSC channels ([`WorkerMode::Persistent`]),
-//!   avoiding a thread spawn per batch; workers join gracefully when the
-//!   engine drops.
-//! * **Pipelined ingestion** — [`Engine::serve_pipelined`] (or
-//!   [`IngestMode::Pipelined`] via [`EngineConfig::ingest`]) overlaps
-//!   production with application: the producer stage partitions the op
-//!   stream and ships per-shard batches into *bounded* backpressured
-//!   lock-free SPSC rings ([`spsc`]) while the persistent workers apply
-//!   earlier batches; drained batch buffers recycle back to the
-//!   producer. [`Engine::serve_pipelined_producers`] fans routing out to
-//!   N producer threads, each shipping sequence-stamped batches that
-//!   every shard worker merges in deterministic (producer, seq) order.
-//!   Bit-identical results to phased serving for any producer count,
-//!   strictly better producer/worker overlap.
+//!   shard ([`WorkerMode::Persistent`]) over a capacity-1 SPSC ring
+//!   ([`spsc`]) per direction, avoiding a thread spawn per batch;
+//!   `std::sync::mpsc` carries only the pipelined path's drained-buffer
+//!   recycling. Workers join gracefully when the engine drops.
+//! * **Pipelined ingestion** — [`IngestMode::Pipelined`] (via
+//!   [`EngineConfig::pipelined`], entered through [`Engine::serve`] or
+//!   [`Engine::serve_replay`]) overlaps production with application:
+//!   the calling thread routes the op stream and ships per-shard
+//!   batches into one *bounded* backpressured lock-free SPSC ring per
+//!   shard ([`spsc`]) while the persistent workers apply earlier
+//!   batches; drained batch buffers recycle back to the calling thread.
+//!   Bit-identical results to phased serving, strictly better
+//!   caller/worker overlap.
 //! * **Round-based bulk-parallel ingestion** — [`IngestMode::Rounds`]
 //!   (module [`rounds`]) resolves each batch's inserts in synchronized
 //!   propose/resolve rounds over the *global* bin space: bins accept
 //!   proposals below a load threshold in salted-key-hash tie order,
 //!   losers re-propose. Placement is a pure function of *(batch
 //!   contents as a multiset, seed)* — independent of op order, worker
-//!   mode, producer count, and shard count — and each batch yields a
+//!   mode, and shard count — and each batch yields a
 //!   [`RoundReport`] (rounds taken, re-proposals per round, max load).
 //! * **Replay** — [`Engine::serve_replay`] ingests an op *iterator* in
 //!   batch-sized chunks, so captured workload files (the `ba-workload`
@@ -100,7 +99,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod channel;
 pub mod cluster;
 mod engine;
 pub mod index;

@@ -9,8 +9,8 @@
 //!
 //! 1. **Propose** — every pending ball offers its next probe from a
 //!    keyed choice vector derived from `(key, rounds salt)` over the
-//!    *global* bin space (`shards × bins_per_shard` bins). Probe
-//!    derivation is embarrassingly parallel across producer threads.
+//!    *global* bin space (`shards × bins_per_shard` bins), derived for
+//!    the whole batch in one batched-kernel call.
 //! 2. **Resolve** — each bin accepts proposals while its load sits
 //!    below the round's threshold, taking them in salted-key-hash tie
 //!    order (never arrival order). Bins partition cleanly across the
@@ -29,9 +29,9 @@
 //! **Determinism contract.** The final [`Allocation`](ba_core::Allocation)
 //! — and the engine's [`BatchSummary`](crate::BatchSummary) — is a pure
 //! function of *(batch contents as a multiset, seed)*: independent of op
-//! order within the batch, worker mode, producer count, and even shard
-//! count (the global bin vector is invariant; only its partitioning into
-//! shards changes). The rounds salt derives from
+//! order within the batch, worker mode, and even shard count (the
+//! global bin vector is invariant; only its partitioning into shards
+//! changes). The rounds salt derives from
 //! `SeedSequence::new(seed).child(ROUNDS_SALT_CHILD)` with no shard
 //! index mixed in, tie hashes are pure in `(key, salt, duplicate
 //! index)`, and accepting a proposal consumes no shard RNG. This is a

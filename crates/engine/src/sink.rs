@@ -36,9 +36,9 @@ use std::time::Duration;
 /// stream. Under phased ingestion records carry `shard: None` (one
 /// record per engine-wide batch); under pipelined ingestion each
 /// per-shard shipped batch becomes its own record with `shard:
-/// Some(id)`, emitted when the stream drains (producer-side and
-/// worker-side halves of the measurement live on different threads and
-/// are joined at end of stream).
+/// Some(id)`, emitted when the stream drains (ship-side and worker-side
+/// halves of the measurement live on different threads and are joined at
+/// end of stream).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricRecord {
     /// Monotonic sequence number assigned by the emitting engine.
@@ -47,11 +47,6 @@ pub struct MetricRecord {
     pub at: Duration,
     /// Which shard applied the batch (`None`: engine-wide phased batch).
     pub shard: Option<usize>,
-    /// Which producer routed and shipped the batch. 0 covers phased
-    /// batches and the single-producer pipelined path (routing on the
-    /// calling thread); under multi-producer pipelined serving this is
-    /// the producer thread's index.
-    pub producer: u32,
     /// Ops in the batch.
     pub ops: u32,
     /// Insert ops in the batch (counted pre-apply).
@@ -62,13 +57,6 @@ pub struct MetricRecord {
     pub lookups: u32,
     /// Time the shard(s) spent applying the batch.
     pub apply: Duration,
-    /// Producer time spent routing this batch's ops into their per-shard
-    /// buffer. Measured only where routing is a separable stage — the
-    /// multi-producer pipelined path, attributed to each shipped batch
-    /// proportionally to its share of the routed chunk; zero under
-    /// phased ingestion and single-producer pipelining (there routing
-    /// interleaves with stream generation op by op).
-    pub routed: Duration,
     /// Bounded-queue occupancy sampled right after this batch shipped
     /// (pipelined only; 0 under phased ingestion).
     pub queue_occupancy: u32,
@@ -164,9 +152,6 @@ pub struct WindowSummary {
     pub stalls: u64,
     /// Total time spent stalled on full queues.
     pub stalled: Duration,
-    /// Total producer routing time (multi-producer pipelined batches;
-    /// see [`MetricRecord::routed`]).
-    pub routed: Duration,
     /// Per-batch apply latency in microseconds (log2 bins: relative
     /// error ≤ one octave).
     pub apply_us: HistogramSketch,
@@ -190,7 +175,6 @@ impl WindowSummary {
             lookups: 0,
             stalls: 0,
             stalled: Duration::ZERO,
-            routed: Duration::ZERO,
             // ~1µs .. ~1s in octaves.
             apply_us: HistogramSketch::log2_bins(20),
             // 1 .. 2^20 ops per batch in octaves.
@@ -209,7 +193,6 @@ impl WindowSummary {
         self.lookups += u64::from(r.lookups);
         self.stalls += u64::from(r.stalls);
         self.stalled += r.stalled;
-        self.routed += r.routed;
         self.apply_us.record(r.apply.as_secs_f64() * 1e6);
         self.batch_ops.record(f64::from(r.ops));
         self.occupancy.record(f64::from(r.queue_occupancy));
@@ -245,7 +228,6 @@ impl WindowSummary {
             .field_u64("lookups", self.lookups)
             .field_u64("stalls", self.stalls)
             .field_u64("stall_us", self.stalled.as_micros() as u64)
-            .field_u64("route_us", self.routed.as_micros() as u64)
             .field_raw("apply_us", &sketch(&self.apply_us))
             .field_raw("batch_ops", &sketch(&self.batch_ops))
             .field_raw("occupancy", &sketch(&self.occupancy))
@@ -271,7 +253,6 @@ impl WindowSummary {
         self.lookups += other.lookups;
         self.stalls += other.stalls;
         self.stalled += other.stalled;
-        self.routed += other.routed;
         self.apply_us.merge(&other.apply_us);
         self.batch_ops.merge(&other.batch_ops);
         self.occupancy.merge(&other.occupancy);
@@ -429,13 +410,11 @@ mod tests {
             seq: 0,
             at: Duration::from_millis(at_ms),
             shard: None,
-            producer: 0,
             ops,
             inserts: ops,
             deletes: 0,
             lookups: 0,
             apply: Duration::from_micros(u64::from(ops) * 2),
-            routed: Duration::from_micros(u64::from(ops)),
             queue_occupancy: 1,
             stalls,
             stalled: Duration::from_micros(u64::from(stalls) * 50),
@@ -506,7 +485,6 @@ mod tests {
         assert_eq!(a.batches, expected.batches);
         assert_eq!(a.ops, expected.ops);
         assert_eq!(a.stalls, expected.stalls);
-        assert_eq!(a.routed, expected.routed);
         assert_eq!(a.apply_us, expected.apply_us);
         assert_eq!(a.occupancy, expected.occupancy);
     }
@@ -557,7 +535,6 @@ mod tests {
                 "\"ops\"",
                 "\"stalls\"",
                 "\"stall_us\"",
-                "\"route_us\"",
                 "\"apply_us\"",
                 "\"occupancy\"",
             ] {

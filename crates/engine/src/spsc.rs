@@ -1,11 +1,11 @@
-//! Single-producer/single-consumer ring buffers for the pipelined hot
-//! path.
+//! Single-producer/single-consumer ring buffers for the engine's
+//! worker traffic.
 //!
-//! The engine's internal Mutex+Condvar channel is the right tool for
-//! the control plane (job dispatch, results, buffer recycling — a few
-//! messages per stream), but on the pipelined *data* path every shipped
-//! batch paid for a shared lock, a `VecDeque`, and a condvar signal.
-//! This module replaces that hot path with a bounded SPSC ring:
+//! Every engine↔worker link has exactly one sender and one receiver: the
+//! pipelined *data* path (one batch ring per shard) and the persistent
+//! pool's job dispatch and results (a capacity-1 ring per direction per
+//! worker). Neither needs a shared queue lock or a `VecDeque` per
+//! message, so each link is a bounded SPSC ring:
 //!
 //! * **Power-of-two capacity**, so slot indexing is a mask, not a
 //!   modulo, and the monotonically increasing head/tail counters wrap
@@ -40,7 +40,7 @@
 //! anyone can block on, and the ring's blocking behaviour lives
 //! entirely in the explicit edge parking.
 //!
-//! Disconnect semantics mirror the engine's internal channel, because its
+//! Disconnect semantics match a channel's, because the engine's
 //! panic-propagation paths rely on them:
 //!
 //! * dropping the [`RingProducer`] wakes a blocked [`RingConsumer::recv`]
@@ -160,10 +160,8 @@ impl<T> RingProducer<T> {
 
     /// [`RingProducer::send`], reporting how long this call spent
     /// blocked on a full ring: `Duration::ZERO` when a slot was free
-    /// immediately, the measured wait otherwise — the same
-    /// backpressure-stall primitive the Mutex channel's `send_tracked`
-    /// provides, so the engine's stall telemetry is ingest-path
-    /// agnostic.
+    /// immediately, the measured wait otherwise — the backpressure-stall
+    /// primitive behind the engine's stall telemetry.
     pub fn send_tracked(&self, value: T) -> Result<Duration, SendError<T>> {
         let s = &*self.shared;
         // Only this producer writes `tail`, so a relaxed self-read is
@@ -202,9 +200,11 @@ impl<T> RingProducer<T> {
         // the consumer's empty-edge handshake can't miss it.
         s.tail.0.store(tail.wrapping_add(1), Ordering::SeqCst);
         if s.consumer_parked.load(Ordering::SeqCst) {
-            // Empty-edge wake: take the parking mutex so the notify
-            // can't slip between the consumer's re-check and its wait.
-            let _guard = s.park.lock().expect("ring park lock poisoned");
+            // Empty-edge wake: pass through the parking mutex so the
+            // notify can't slip between the consumer's re-check and its
+            // wait, then notify with the mutex released so the woken
+            // consumer doesn't block on it straight away.
+            drop(s.park.lock().expect("ring park lock poisoned"));
             s.available.notify_one();
         }
         Ok(stall)
@@ -271,7 +271,8 @@ impl<T> RingConsumer<T> {
         // freed slot (Release would cover slot-reuse visibility alone).
         s.head.0.store(head.wrapping_add(1), Ordering::SeqCst);
         if s.producer_parked.load(Ordering::SeqCst) {
-            let _guard = s.park.lock().expect("ring park lock poisoned");
+            // Full-edge wake, same handshake as the producer's.
+            drop(s.park.lock().expect("ring park lock poisoned"));
             s.space.notify_one();
         }
         Ok(value)
@@ -293,7 +294,7 @@ impl<T> RingConsumer<T> {
             .expect("published ring slot holds a value");
         s.head.0.store(head.wrapping_add(1), Ordering::SeqCst);
         if s.producer_parked.load(Ordering::SeqCst) {
-            let _guard = s.park.lock().expect("ring park lock poisoned");
+            drop(s.park.lock().expect("ring park lock poisoned"));
             s.space.notify_one();
         }
         Some(value)

@@ -2,8 +2,8 @@
 //! ([`IngestMode::Rounds`]): over a single batch, the final global bin
 //! vector and the [`BatchSummary`] are a pure function of *(batch
 //! contents as a multiset, seed)* — invariant under arbitrary in-batch
-//! op permutations, worker mode, propose-thread (producer) count, and
-//! even shard count at a fixed global bin total.
+//! op permutations, worker mode, and even shard count at a fixed global
+//! bin total.
 
 use ba_engine::{Engine, EngineConfig, Op, WorkerMode};
 use proptest::prelude::*;
@@ -23,15 +23,11 @@ fn decode_op(key: u64, kind: u8) -> Op {
     }
 }
 
-fn rounds_engine(
-    shards: usize,
-    workers: WorkerMode,
-    producers: usize,
-) -> Engine<ba_hash::AnyScheme> {
+fn rounds_engine(shards: usize, workers: WorkerMode) -> Engine<ba_hash::AnyScheme> {
     let config = EngineConfig::new(shards, TOTAL_BINS / shards as u64, 3)
         .seed(2014)
         .workers(workers)
-        .rounds_producers(producers);
+        .rounds();
     Engine::by_name("double", config).expect("known scheme")
 }
 
@@ -62,9 +58,9 @@ fn permute(ops: &[Op], rotation: u64, reverse: bool) -> Vec<Op> {
 
 proptest! {
     /// One batch, every axis at once: a permuted stream served by
-    /// engines at shard counts {1, 2, 8}, all three worker modes, and
-    /// producer counts {1, 4} reproduces the (1-shard, sequential,
-    /// 1-producer) baseline's global bin vector and summary exactly.
+    /// engines at shard counts {1, 8} under both worker modes
+    /// reproduces the (1-shard, sequential) baseline's global bin
+    /// vector and summary exactly.
     #[test]
     fn placement_is_pure_in_the_batch_set_and_seed(
         encoded in proptest::collection::vec((any::<u64>(), any::<u8>()), 1..300),
@@ -73,34 +69,31 @@ proptest! {
     ) {
         let ops: Vec<Op> = encoded.into_iter().map(|(k, kind)| decode_op(k, kind)).collect();
         let batch = ops.len(); // a single batch: in-batch order must not matter
-        let mut reference = rounds_engine(1, WorkerMode::Sequential, 1);
+        let mut reference = rounds_engine(1, WorkerMode::Sequential);
         let baseline_summary = reference.serve(&ops, batch);
         let baseline = global_loads(&reference);
         prop_assert_eq!(baseline.len() as u64, TOTAL_BINS);
 
         let permuted = permute(&ops, rotation, reverse == 1);
-        for (shards, workers, producers) in [
-            (1, WorkerMode::Sequential, 4),
-            (2, WorkerMode::Scoped, 1),
-            (8, WorkerMode::Persistent, 4),
+        for (shards, workers) in [
+            (1, WorkerMode::Sequential),
+            (8, WorkerMode::Persistent),
         ] {
-            let mut engine = rounds_engine(shards, workers, producers);
+            let mut engine = rounds_engine(shards, workers);
             let summary = engine.serve(&permuted, batch);
             prop_assert_eq!(
                 &summary,
                 &baseline_summary,
-                "summary diverged at {} shards / {:?} / {} producers",
+                "summary diverged at {} shards / {:?}",
                 shards,
-                workers,
-                producers
+                workers
             );
             prop_assert_eq!(
                 global_loads(&engine),
                 baseline.clone(),
-                "global bin vector diverged at {} shards / {:?} / {} producers",
+                "global bin vector diverged at {} shards / {:?}",
                 shards,
-                workers,
-                producers
+                workers
             );
         }
     }
@@ -116,7 +109,7 @@ proptest! {
     ) {
         let ops: Vec<Op> = encoded.into_iter().map(|(k, kind)| decode_op(k, kind)).collect();
         let batch = (ops.len() / 2).max(1);
-        let mut reference = rounds_engine(2, WorkerMode::Sequential, 1);
+        let mut reference = rounds_engine(2, WorkerMode::Sequential);
         let baseline_summary = reference.serve(&ops, batch);
 
         // Permute strictly *within* each batch-sized chunk (crossing a
@@ -126,7 +119,7 @@ proptest! {
             let len = chunk.len() as u64;
             chunk.rotate_left((rotation % len) as usize);
         }
-        let mut engine = rounds_engine(8, WorkerMode::Persistent, 4);
+        let mut engine = rounds_engine(8, WorkerMode::Persistent);
         let summary = engine.serve(&permuted, batch);
         prop_assert_eq!(summary, baseline_summary);
         prop_assert_eq!(global_loads(&engine), global_loads(&reference));

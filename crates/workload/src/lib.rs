@@ -172,7 +172,7 @@ impl DriveReport {
 }
 
 /// Pulls exactly `remaining` ops from a generator as an iterator — the
-/// adapter that lets a [`Workload`] feed [`Engine::serve_pipelined`]
+/// adapter that lets a [`Workload`] feed [`Engine::serve_replay`]
 /// without materializing the stream.
 struct WorkloadOps<'a> {
     workload: &'a mut dyn Workload,
@@ -198,8 +198,9 @@ impl Iterator for WorkloadOps<'_> {
 /// The engine's [`IngestMode`] decides how the stream flows: phased
 /// engines alternate generate/apply (one batch buffered at a time);
 /// pipelined engines pull ops straight from the generator on the driving
-/// thread while shard workers apply earlier batches concurrently. Results
-/// are bit-identical either way. Rounds-mode engines
+/// thread through [`Engine::serve_replay`] while shard workers apply
+/// earlier batches concurrently. Either way `batch_size` means ops per
+/// engine-wide batch, and results are bit-identical. Rounds-mode engines
 /// ([`IngestMode::Rounds`]) take the phased path too — each batch-sized
 /// chunk resolves as one synchronized propose/resolve bulk, so
 /// `batch_size` sets the bulk granularity the determinism contract is
@@ -211,27 +212,14 @@ pub fn drive<S: ChoiceScheme + 'static>(
     batch_size: usize,
 ) -> DriveReport {
     assert!(batch_size > 0, "batch size must be positive");
-    // Engine construction already validates, but drive is the boundary
-    // where generated traffic meets the engine: re-check here so no ops
-    // can ever flow into a structurally invalid config, whatever
-    // constructor produced it.
-    if let Err(err) = engine.config().validate() {
-        panic!("invalid EngineConfig: {err}");
-    }
-    if let IngestMode::Pipelined {
-        queue_depth,
-        producers,
-    } = engine.config().ingest
-    {
+    if let IngestMode::Pipelined { .. } = engine.config().ingest {
         let start = std::time::Instant::now();
-        let summary = engine.serve_pipelined_producers(
+        let summary = engine.serve_replay(
             WorkloadOps {
                 workload,
                 remaining: total_ops,
             },
             batch_size,
-            queue_depth,
-            producers,
         );
         let elapsed = start.elapsed();
         return DriveReport {
@@ -382,15 +370,58 @@ mod tests {
     }
 
     #[test]
+    fn pipelined_drive_ships_the_same_batches_as_serve_replay() {
+        // `batch_size` means ops per engine-wide batch at every entry
+        // point: on a 4-shard pipelined engine, driving a generator and
+        // replaying the same stream ship identical per-shard batches, each
+        // at most batch_size / shards ops.
+        const TOTAL: u64 = 12_000;
+        const BATCH: usize = 1_024;
+        let config = || EngineConfig::new(4, 256, 3).seed(8).pipelined(4);
+        let per_shard_ops = |sink: &ba_engine::SharedSink| -> Vec<Vec<u32>> {
+            let records = sink.records();
+            (0..4)
+                .map(|shard| {
+                    records
+                        .iter()
+                        .filter(|r| r.shard == Some(shard))
+                        .map(|r| r.ops)
+                        .collect()
+                })
+                .collect()
+        };
+
+        let driven_sink = ba_engine::SharedSink::new();
+        let mut driven = Engine::by_name("double", config()).unwrap();
+        driven.set_sink(Box::new(driven_sink.clone()));
+        let mut workload = Scenario::Uniform.build(512, 8);
+        drive(&mut driven, workload.as_mut(), TOTAL, BATCH);
+
+        let replayed_sink = ba_engine::SharedSink::new();
+        let mut replayed = Engine::by_name("double", config()).unwrap();
+        replayed.set_sink(Box::new(replayed_sink.clone()));
+        let mut workload = Scenario::Uniform.build(512, 8);
+        replayed.serve_replay((0..TOTAL).map(|_| workload.next_op()), BATCH);
+
+        let driven_ops = per_shard_ops(&driven_sink);
+        assert!(driven_ops.iter().all(|ops| !ops.is_empty()));
+        assert!(driven_ops
+            .iter()
+            .flatten()
+            .all(|&ops| ops as usize <= BATCH / 4));
+        assert_eq!(driven_ops, per_shard_ops(&replayed_sink));
+    }
+
+    #[test]
     fn rounds_drive_is_deterministic_and_serves_exact_op_count() {
         // The driver's rounds dispatch: each batch resolves as one
-        // synchronized bulk; two runs at different propose-thread counts
-        // agree exactly.
+        // synchronized bulk; two runs under different worker modes agree
+        // exactly.
         for scenario in [Scenario::Uniform, Scenario::by_name("churn").unwrap()] {
             let a = run_scenario(
                 "double",
                 &scenario,
-                EngineConfig::new(4, 256, 3).seed(8).rounds_producers(2),
+                EngineConfig::new(4, 256, 3).seed(8).sequential().rounds(),
                 512,
                 8_000,
                 512,
@@ -426,19 +457,6 @@ mod tests {
             "double",
             &Scenario::Uniform,
             EngineConfig::new(4, 256, 3).seed(8).pipelined(3),
-            512,
-            1_000,
-            256,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "EngineConfig::rounds_producers(0)")]
-    fn drive_path_rejects_zero_rounds_producers_at_construction() {
-        let _ = run_scenario(
-            "double",
-            &Scenario::Uniform,
-            EngineConfig::new(4, 256, 3).seed(8).rounds_producers(0),
             512,
             1_000,
             256,

@@ -8,12 +8,12 @@
 //! both choice modes.
 //!
 //! ```text
-//! cargo run --release --example engine_serve [scheme] [shards] [ops] [keyed|stream] [pipelined[=DEPTH]|rounds] [producers=N] [metrics[=PATH]]
+//! cargo run --release --example engine_serve [scheme] [shards] [ops] [keyed|stream] [pipelined[=DEPTH]|rounds] [metrics[=PATH]]
 //! # scheme: random | double | blocks | one | ... (default: compares random vs double)
 //! # keyed: derive choices from hash(key, shard_salt) so re-inserts replay
 //! #        their f + k·g probe sequences (default: stream)
 //! # pipelined: overlap workload generation with shard application through
-//! #            bounded per-worker SPSC rings (default: phased
+//! #            one bounded SPSC ring per shard (default: phased
 //! #            generate/apply); DEPTH sets the ring depth (default 4;
 //! #            must be a power of two — the same `EngineConfig`
 //! #            validation that guards direct engine construction
@@ -21,13 +21,9 @@
 //! # rounds: resolve each batch's inserts in synchronized propose/resolve
 //! #         rounds over the global bin space; placement becomes a pure
 //! #         function of (batch contents, seed), independent of op order,
-//! #         thread count, and shard count
-//! # producers: fan routing out to N producer threads on the pipelined
-//! #            path, or propose-phase threads on the rounds path
-//! #            (default 1; results are bit-identical for any N —
-//! #            ignored, with a warning, under phased ingestion)
+//! #         worker mode, and shard count
 //! # metrics: stream live windowed unit-of-work metrics (batch latency,
-//! #          queue occupancy, backpressure stalls, routing time) as
+//! #          queue occupancy, backpressure stalls) as
 //! #          JSON lines to stderr, or append them to PATH with
 //! #          metrics=PATH; results are bit-identical with or without
 //! #          the exporter attached
@@ -116,22 +112,6 @@ fn main() {
         }
         None => ChoiceMode::Stream,
     };
-    // A `producers=N` token sets the pipelined fan-out width.
-    let producers = match args.iter().position(|a| a.starts_with("producers=")) {
-        Some(idx) => {
-            let token = args.remove(idx);
-            let n: usize = token["producers=".len()..].parse().unwrap_or_else(|_| {
-                eprintln!("cannot parse `{token}`; expected producers=N");
-                std::process::exit(1);
-            });
-            if n == 0 {
-                eprintln!("producers=0 is not servable; need at least one");
-                std::process::exit(1);
-            }
-            Some(n)
-        }
-        None => None,
-    };
     // A `rounds` token selects round-based bulk-parallel ingestion; a
     // `pipelined` or `pipelined=DEPTH` token selects pipelined
     // ingestion. The requested queue depth passes through verbatim:
@@ -159,22 +139,10 @@ fn main() {
                 }),
                 None => 4,
             };
-            IngestMode::Pipelined {
-                queue_depth,
-                producers: producers.unwrap_or(1),
-            }
+            IngestMode::Pipelined { queue_depth }
         }
-        None if rounds => IngestMode::Rounds {
-            producers: producers.unwrap_or(1),
-        },
-        None => {
-            if let Some(n) = producers {
-                eprintln!(
-                    "warning: producers={n} has no effect under phased ingestion; pass `pipelined` or `rounds` to fan out"
-                );
-            }
-            IngestMode::Phased
-        }
+        None if rounds => IngestMode::Rounds,
+        None => IngestMode::Phased,
     };
     // A `metrics` or `metrics=PATH` token turns on the live exporter.
     let metrics = match args
@@ -209,8 +177,8 @@ fn main() {
     let total_ops: u64 = rest.get(1).and_then(|s| s.parse().ok()).unwrap_or(200_000);
     // One validation contract for every construction path: the exact
     // config serve_suite will build gets checked up front, so a bad
-    // `pipelined=DEPTH` or `producers=0` fails here with the engine's
-    // own error instead of being silently papered over.
+    // `pipelined=DEPTH` fails here with the engine's own error instead of
+    // being silently papered over.
     let probe = EngineConfig::new(shards, 1 << 12, 3)
         .seed(2014)
         .mode(mode)

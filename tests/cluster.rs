@@ -93,7 +93,7 @@ fn pipelined_partition_engines_match_phased_on_golden_corpus() {
             EngineConfig::new(2, 128, 3)
                 .seed(GOLDEN_SEED)
                 .mode(mode)
-                .pipelined_producers(4, 2),
+                .pipelined(4),
         )
         .partitions(8);
         let mut pipelined =

@@ -19,15 +19,12 @@ fn config(shards: usize, bins: u64, d: usize, seed: u64) -> EngineConfig {
 #[test]
 fn pipelined_ingestion_equals_phased_for_every_scenario_scheme_mode_and_depth() {
     // The pipelined acceptance matrix: for all 5 scenarios × every scheme
-    // the workspace ships × both choice modes × a (queue depth, producer
-    // count) axis spanning depths {1, 4, 64} single-producer plus the
-    // multi-producer fan-out at {2, 4} producers × depths {1, 4}, serving
-    // through the lock-free SPSC-ring pipeline is bit-identical —
+    // the workspace ships × both choice modes × queue depths {1, 4, 64},
+    // serving through the lock-free SPSC-ring pipeline is bit-identical —
     // summary, per-shard loads, max loads, stats percentiles — to phased
     // WorkerMode::Sequential serving of the same generated stream.
     let total_ops = 4_000u64;
     let keyspace = 512u64;
-    let axis: &[(usize, usize)] = &[(1, 1), (4, 1), (64, 1), (1, 2), (4, 2), (1, 4), (4, 4)];
     for scenario in Scenario::all() {
         for &scheme in AnyScheme::names() {
             // d = 4 divides the 128-bin tables evenly (the d-left
@@ -43,25 +40,17 @@ fn pipelined_ingestion_equals_phased_for_every_scenario_scheme_mode_and_depth() 
                     256,
                 )
                 .unwrap();
-                for &(depth, producers) in axis {
+                for depth in [1, 4, 64] {
                     let pipelined = run_scenario(
                         scheme,
                         &scenario,
-                        config(4, 128, d, 29)
-                            .mode(mode)
-                            .ingest(IngestMode::Pipelined {
-                                queue_depth: depth,
-                                producers,
-                            }),
+                        config(4, 128, d, 29).mode(mode).pipelined(depth),
                         keyspace,
                         total_ops,
                         256,
                     )
                     .unwrap();
-                    let tag = format!(
-                        "{}/{scheme}/{mode:?}/depth {depth} x{producers}",
-                        scenario.name()
-                    );
+                    let tag = format!("{}/{scheme}/{mode:?}/depth {depth}", scenario.name());
                     assert_eq!(pipelined.summary, phased.summary, "{tag}");
                     assert_eq!(
                         pipelined.stats.max_loads(),
@@ -113,30 +102,6 @@ fn persistent_engine_equals_sequential_engine_for_every_shard_count_and_scenario
                 );
             }
         }
-    }
-}
-
-#[test]
-fn scoped_spawn_baseline_still_matches_persistent_workers() {
-    // The pre-pool execution strategy is kept for benchmarking; it must
-    // stay on the same determinism contract.
-    let ops: Vec<Op> = (0..20_000u64)
-        .map(|i| match i % 4 {
-            0..=1 => Op::Insert(i / 2),
-            2 => Op::Lookup(i / 3),
-            _ => Op::Delete(i / 2),
-        })
-        .collect();
-    let mut scoped =
-        Engine::by_name("double", config(8, 512, 3, 3).workers(WorkerMode::Scoped)).unwrap();
-    let mut persistent = Engine::by_name(
-        "double",
-        config(8, 512, 3, 3).workers(WorkerMode::Persistent),
-    )
-    .unwrap();
-    assert_eq!(scoped.serve(&ops, 777), persistent.serve(&ops, 777));
-    for (a, b) in scoped.shards().iter().zip(persistent.shards()) {
-        assert_eq!(a.allocation().loads(), b.allocation().loads());
     }
 }
 
@@ -402,14 +367,14 @@ impl ChoiceScheme for Sluggish {
 /// Serves `ops` inserts through a single slow shard with the given
 /// queue depth and returns the per-batch metric records.
 fn slow_pipelined_records(total_ops: u64, batch: usize, depth: usize) -> Vec<MetricRecord> {
-    let cfg = config(1, 64, 1, 7);
+    let cfg = config(1, 64, 1, 7).pipelined(depth);
     let mut engine = Engine::with_scheme_factory(cfg, |_| Sluggish {
         n: 64,
         nap: std::time::Duration::from_micros(200),
     });
     let sink = SharedSink::new();
     engine.set_sink(Box::new(sink.clone()));
-    engine.serve_pipelined((0..total_ops).map(Op::Insert), batch, depth);
+    engine.serve_replay((0..total_ops).map(Op::Insert), batch);
     engine.take_sink();
     sink.records()
 }
@@ -456,19 +421,6 @@ fn workload_path_rejects_non_power_of_two_queue_depth_at_construction() {
         "double",
         &Scenario::Adversarial,
         config(4, 128, 3, 7).pipelined(3),
-        512,
-        1_000,
-        256,
-    );
-}
-
-#[test]
-#[should_panic(expected = "EngineConfig::pipelined_producers(.., 0)")]
-fn workload_path_rejects_zero_producers_at_construction() {
-    let _ = run_scenario(
-        "double",
-        &Scenario::Adversarial,
-        config(4, 128, 3, 7).pipelined_producers(4, 0),
         512,
         1_000,
         256,

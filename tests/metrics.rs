@@ -160,7 +160,6 @@ fn assert_parses_as_metrics_line(line: &str) {
         "\"lookups\": ",
         "\"stalls\": ",
         "\"stall_us\": ",
-        "\"route_us\": ",
         "\"apply_us\": {",
         "\"batch_ops\": {",
         "\"occupancy\": {",
@@ -242,69 +241,6 @@ fn exporter_emits_parseable_lines_and_results_stay_bit_identical() {
             .sum();
         assert_eq!(total_ops, GOLDEN_OPS, "pipelined={pipelined}");
     }
-}
-
-#[test]
-fn multi_producer_serving_with_sink_stays_bit_identical_and_attributes_routing() {
-    // The telemetry contract under the fanned-out front end: attaching a
-    // sink to a multi-producer pipelined run changes nothing about the
-    // results, and the records carry the new per-producer attribution —
-    // producer indices within the fan-out width and a measured routing
-    // time on at least some batches.
-    let producers = 3usize;
-    // Batch 128 over 4 shards makes a 512-op routing chunk, so the
-    // 2048-op golden stream spans four chunks and the round-robin
-    // distribution reaches producers beyond index 0.
-    let batch = 128usize;
-    let config = || golden_config().pipelined_producers(4, producers);
-    let plain = run_scenario(
-        "double",
-        &Scenario::Zipf { theta: 0.9 },
-        config(),
-        GOLDEN_KEYSPACE,
-        GOLDEN_OPS,
-        batch,
-    )
-    .expect("known scheme");
-    let sink = SharedSink::new();
-    let observed = run_scenario_with_sink(
-        "double",
-        &Scenario::Zipf { theta: 0.9 },
-        config(),
-        GOLDEN_KEYSPACE,
-        GOLDEN_OPS,
-        batch,
-        Box::new(sink.clone()),
-    )
-    .expect("known scheme");
-
-    assert_eq!(observed.summary, plain.summary);
-    assert!(
-        observed.stats.matches(&plain.stats),
-        "{:?}",
-        observed.stats.divergences(&plain.stats)
-    );
-
-    let records = sink.records();
-    assert!(!records.is_empty());
-    let mut seen_producers = std::collections::BTreeSet::new();
-    for r in &records {
-        assert!(
-            (r.producer as usize) < producers,
-            "producer {} outside fan-out width {producers}",
-            r.producer
-        );
-        assert!(r.shard.is_some(), "stream records are per-shard");
-        seen_producers.insert(r.producer);
-    }
-    assert!(
-        seen_producers.len() > 1,
-        "round-robin chunk distribution should touch several producers: {seen_producers:?}"
-    );
-    assert!(
-        records.iter().any(|r| r.routed > Duration::ZERO),
-        "no batch carried routing time under multi-producer serving"
-    );
 }
 
 #[test]

@@ -1,13 +1,14 @@
-//! Property tests for multi-producer pipelined serving.
+//! Property tests for pipelined serving.
 //!
-//! The SPSC-ring pipeline's ordering contract says the (producer, seq)
-//! merge makes producer fan-out invisible: for *any* op stream, any
-//! producer count, and any ring depth, serving is bit-identical to
-//! sequential phased application of the same stream. The example-based
-//! matrices in `tests/engine.rs` pin that for scenario-shaped traffic;
-//! these properties sample arbitrary streams — duplicate keys, deletes
-//! of absent keys, empty and sub-batch streams included — across
-//! producers ∈ {1, 2, 3, 8} × queue depths {1, 4} × uneven batch sizes.
+//! The SPSC-ring pipeline's ordering contract says each shard applies
+//! its routed subsequence in stream order, so for *any* op stream and
+//! any ring depth, serving an engine configured with
+//! `EngineConfig::pipelined` is bit-identical to sequential phased
+//! application of the same stream. The example-based matrices in
+//! `tests/engine.rs` pin that for scenario-shaped traffic; this property
+//! samples arbitrary streams — duplicate keys, deletes of absent keys,
+//! empty and sub-batch streams included — across queue depths {1, 4} ×
+//! uneven batch sizes × shard counts {1, 4}.
 
 use balanced_allocations::prelude::*;
 use proptest::prelude::*;
@@ -25,28 +26,23 @@ fn op(keyspace: u64) -> impl Strategy<Value = Op> {
 
 proptest! {
     #[test]
-    fn multi_producer_pipelined_serving_is_bit_identical_to_sequential(
+    fn pipelined_serving_is_bit_identical_to_sequential(
         ops in proptest::collection::vec(op(512), 0..1500),
-        producers in prop_oneof![Just(1usize), Just(2), Just(3), Just(8)],
         queue_depth in prop_oneof![Just(1usize), Just(4)],
         batch in prop_oneof![Just(1usize), Just(13), Just(256)],
+        shards in prop_oneof![Just(1usize), Just(4)],
         seed in any::<u64>(),
     ) {
-        let config = || EngineConfig::new(4, 128, 3).seed(seed);
+        let config = || EngineConfig::new(shards, 128, 3).seed(seed);
 
         let mut sequential = Engine::by_name("double", config().sequential()).unwrap();
         let expected_summary = sequential.serve(&ops, batch);
         let expected_stats = sequential.stats();
 
-        let mut pipelined = Engine::by_name("double", config()).unwrap();
-        let summary = pipelined.serve_pipelined_producers(
-            ops.iter().copied(),
-            batch,
-            queue_depth,
-            producers,
-        );
+        let mut pipelined = Engine::by_name("double", config().pipelined(queue_depth)).unwrap();
+        let summary = pipelined.serve_replay(ops.iter().copied(), batch);
         let tag = format!(
-            "{} ops, {producers} producers, depth {queue_depth}, batch {batch}, seed {seed}",
+            "{} ops, depth {queue_depth}, batch {batch}, {shards} shards, seed {seed}",
             ops.len()
         );
 
@@ -60,43 +56,6 @@ proptest! {
                 "shard {} bin loads diverged: {}",
                 a.id(),
                 &tag
-            );
-        }
-    }
-
-    #[test]
-    fn producer_count_never_changes_results_at_fixed_stream(
-        keyspace in prop_oneof![Just(32u64), Just(4096)],
-        total in 0u64..3000,
-        seed in any::<u64>(),
-    ) {
-        // A second angle on the same contract: hold the stream fixed
-        // (insert-heavy, deterministic from the seed) and sweep the
-        // producer axis; every width must agree with width 1 exactly.
-        let ops: Vec<Op> = (0..total)
-            .map(|i| {
-                let key = seed.wrapping_mul(i + 1) % keyspace;
-                match i % 5 {
-                    4 => Op::Delete(key),
-                    3 => Op::Lookup(key),
-                    _ => Op::Insert(key),
-                }
-            })
-            .collect();
-        let config = || EngineConfig::new(8, 64, 2).seed(seed ^ 0x5EED);
-
-        let mut reference = Engine::by_name("double", config()).unwrap();
-        let expected = reference.serve_pipelined_producers(ops.iter().copied(), 64, 4, 1);
-        for producers in [2usize, 3, 8] {
-            let mut engine = Engine::by_name("double", config()).unwrap();
-            let summary =
-                engine.serve_pipelined_producers(ops.iter().copied(), 64, 4, producers);
-            prop_assert_eq!(summary, expected, "{} producers, {} ops", producers, total);
-            prop_assert!(
-                engine.stats().matches(&reference.stats()),
-                "{} producers: {:?}",
-                producers,
-                reference.stats().divergences(&engine.stats())
             );
         }
     }

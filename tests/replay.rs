@@ -71,11 +71,7 @@ fn replayed_golden_captures_match_live_generation_bit_for_bit() {
     for scenario in Scenario::all() {
         let file = ReplayFile::open(golden_path(&scenario)).expect("golden file decodes");
         for mode in [ChoiceMode::Stream, ChoiceMode::Keyed] {
-            for workers in [
-                WorkerMode::Sequential,
-                WorkerMode::Scoped,
-                WorkerMode::Persistent,
-            ] {
+            for workers in [WorkerMode::Sequential, WorkerMode::Persistent] {
                 let config = || {
                     EngineConfig::new(4, 256, 3)
                         .seed(GOLDEN_SEED)
@@ -149,24 +145,20 @@ fn serve_replay_on_golden_capture_matches_drive() {
 #[test]
 fn serve_pipelined_on_golden_captures_matches_phased_replay() {
     // The pipelined twin of the replay-fidelity anchor: pushing a golden
-    // capture through the SPSC-ring pipeline — at several queue depths,
-    // single- and multi-producer — is bit-identical to phased
-    // serve_replay of the same file, in both choice modes.
+    // capture through the SPSC-ring pipeline at several queue depths is
+    // bit-identical to phased serve_replay of the same file, in both
+    // choice modes.
     for scenario in Scenario::all() {
         let file = ReplayFile::open(golden_path(&scenario)).expect("golden file decodes");
         for mode in [ChoiceMode::Stream, ChoiceMode::Keyed] {
             let config = || EngineConfig::new(4, 256, 3).seed(GOLDEN_SEED).mode(mode);
             let mut phased_engine = Engine::by_name("double", config()).unwrap();
             let phased = phased_engine.serve_replay(file.ops().iter().copied(), 512);
-            for (depth, producers) in [(1usize, 1usize), (4, 1), (64, 1), (4, 2), (4, 4)] {
-                let tag = format!("{}/{mode:?}/depth {depth} x{producers}", scenario.name());
-                let mut pipelined_engine = Engine::by_name("double", config()).unwrap();
-                let pipelined = pipelined_engine.serve_pipelined_producers(
-                    file.ops().iter().copied(),
-                    512,
-                    depth,
-                    producers,
-                );
+            for depth in [1, 4, 64] {
+                let tag = format!("{}/{mode:?}/depth {depth}", scenario.name());
+                let mut pipelined_engine =
+                    Engine::by_name("double", config().pipelined(depth)).unwrap();
+                let pipelined = pipelined_engine.serve_replay(file.ops().iter().copied(), 512);
                 assert_eq!(pipelined, phased, "{tag}");
                 let divergences = phased_engine.stats().divergences(&pipelined_engine.stats());
                 assert!(divergences.is_empty(), "{tag}: {divergences:?}");

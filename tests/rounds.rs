@@ -5,9 +5,8 @@
 //!
 //! 1. **Determinism** — serving a golden capture through
 //!    [`IngestMode::Rounds`] is bit-identical whatever the in-batch op
-//!    order, worker mode, or propose-thread count: final global bin
-//!    vector, batch summary, and full stats all match a sequential
-//!    single-producer baseline.
+//!    order or worker mode: final global bin vector, batch summary, and
+//!    full stats all match a sequential baseline.
 //! 2. **Shard invariance** — the global bin vector is even invariant
 //!    under re-sharding at a fixed global bin total, because the rounds
 //!    resolver places into the global bin space before shard routing.
@@ -33,11 +32,11 @@ fn golden_path(scenario: &Scenario) -> PathBuf {
         .join(format!("{}.baops", scenario.name()))
 }
 
-fn rounds_config(shards: usize, workers: WorkerMode, producers: usize) -> EngineConfig {
+fn rounds_config(shards: usize, workers: WorkerMode) -> EngineConfig {
     EngineConfig::new(shards, TOTAL_BINS / shards as u64, 3)
         .seed(GOLDEN_SEED)
         .workers(workers)
-        .rounds_producers(producers)
+        .rounds()
 }
 
 /// The global per-bin load vector — shard layout flattened away, which
@@ -64,16 +63,16 @@ fn permute_within_batches(ops: &[Op], batch: usize) -> Vec<Op> {
 }
 
 #[test]
-fn golden_corpus_through_rounds_is_order_worker_and_producer_invariant() {
+fn golden_corpus_through_rounds_is_order_and_worker_invariant() {
     // Anchor 1: capture-order baseline vs per-batch-permuted streams
-    // under every worker mode and several producer fan-outs.
+    // under every worker mode.
     for scenario in Scenario::all() {
         let file = ReplayFile::open(golden_path(&scenario)).expect("golden file decodes");
         let ops: Vec<Op> = file.ops().to_vec();
         let permuted = permute_within_batches(&ops, BATCH);
 
         let mut reference =
-            Engine::by_name("double", rounds_config(4, WorkerMode::Sequential, 1)).unwrap();
+            Engine::by_name("double", rounds_config(4, WorkerMode::Sequential)).unwrap();
         let baseline_summary = reference.serve(&ops, BATCH);
         let baseline_loads = global_loads(&reference);
         let report = reference.take_round_report().expect("rounds mode");
@@ -83,15 +82,9 @@ fn golden_corpus_through_rounds_is_order_worker_and_producer_invariant() {
             scenario.name()
         );
 
-        for (workers, producers) in [
-            (WorkerMode::Sequential, 4),
-            (WorkerMode::Scoped, 1),
-            (WorkerMode::Persistent, 2),
-            (WorkerMode::Persistent, 4),
-        ] {
-            let tag = format!("{}/{workers:?} x{producers}", scenario.name());
-            let mut engine =
-                Engine::by_name("double", rounds_config(4, workers, producers)).unwrap();
+        for workers in [WorkerMode::Sequential, WorkerMode::Persistent] {
+            let tag = format!("{}/{workers:?}", scenario.name());
+            let mut engine = Engine::by_name("double", rounds_config(4, workers)).unwrap();
             let summary = engine.serve(&permuted, BATCH);
             assert_eq!(summary, baseline_summary, "{tag}: summary diverged");
             assert_eq!(
@@ -117,7 +110,7 @@ fn golden_corpus_through_rounds_is_shard_count_invariant() {
         let ops: Vec<Op> = file.ops().to_vec();
 
         let mut reference =
-            Engine::by_name("double", rounds_config(1, WorkerMode::Sequential, 1)).unwrap();
+            Engine::by_name("double", rounds_config(1, WorkerMode::Sequential)).unwrap();
         let baseline_summary = reference.serve(&ops, BATCH);
         let baseline_loads = global_loads(&reference);
         assert_eq!(baseline_loads.len() as u64, TOTAL_BINS);
@@ -125,8 +118,7 @@ fn golden_corpus_through_rounds_is_shard_count_invariant() {
         for shards in [2usize, 4] {
             let tag = format!("{}/{shards} shards", scenario.name());
             let mut engine =
-                Engine::by_name("double", rounds_config(shards, WorkerMode::Persistent, 2))
-                    .unwrap();
+                Engine::by_name("double", rounds_config(shards, WorkerMode::Persistent)).unwrap();
             let summary = engine.serve(&ops, BATCH);
             assert_eq!(summary, baseline_summary, "{tag}: summary diverged");
             assert_eq!(
@@ -157,7 +149,7 @@ fn rounds_max_load_tracks_sequential_d_choice_on_golden_corpus() {
         sequential.serve(&ops, BATCH);
 
         let mut rounds =
-            Engine::by_name("double", rounds_config(4, WorkerMode::Persistent, 2)).unwrap();
+            Engine::by_name("double", rounds_config(4, WorkerMode::Persistent)).unwrap();
         rounds.serve(&ops, BATCH);
         let report = rounds.take_round_report().expect("rounds mode");
 
@@ -183,7 +175,7 @@ fn incremental_max_load_tracker_matches_full_scan_on_golden_corpus() {
         let ops: Vec<Op> = file.ops().to_vec();
 
         let mut rounds =
-            Engine::by_name("double", rounds_config(4, WorkerMode::Persistent, 2)).unwrap();
+            Engine::by_name("double", rounds_config(4, WorkerMode::Persistent)).unwrap();
         rounds.serve(&ops, BATCH);
         let mut sequential = Engine::by_name(
             "double",
@@ -213,13 +205,13 @@ fn drive_through_rounds_matches_direct_serve_on_golden_capture() {
     // engine API produces.
     let file = ReplayFile::open(golden_path(&Scenario::Bursty)).unwrap();
     let mut via_drive =
-        Engine::by_name("double", rounds_config(4, WorkerMode::Sequential, 1)).unwrap();
+        Engine::by_name("double", rounds_config(4, WorkerMode::Sequential)).unwrap();
     let mut workload = file.workload();
     let report = drive(&mut via_drive, &mut workload, GOLDEN_OPS, BATCH);
     assert_eq!(report.summary.total_ops(), GOLDEN_OPS);
 
     let mut via_serve =
-        Engine::by_name("double", rounds_config(4, WorkerMode::Sequential, 1)).unwrap();
+        Engine::by_name("double", rounds_config(4, WorkerMode::Sequential)).unwrap();
     let summary = via_serve.serve(file.ops(), BATCH);
     assert_eq!(report.summary, summary);
     assert_eq!(global_loads(&via_drive), global_loads(&via_serve));
