@@ -29,7 +29,7 @@
 //! probe sequence on the destination and logging any bin movement as an
 //! explainable divergence.
 
-use crate::engine::{route, ChoiceMode, Engine, EngineConfig};
+use crate::engine::{route, ChoiceMode, Engine, EngineConfig, IngestMode};
 use crate::metrics::EngineStats;
 use crate::op::{BatchSummary, Op};
 use ba_hash::{AnyScheme, ChoiceScheme};
@@ -207,13 +207,18 @@ impl ClusterConfig {
     /// template's (see [`EngineConfig::validate`]). [`Cluster`]
     /// constructors call this and panic with the error's message, so a
     /// bad pipeline depth in the template fails when the cluster is
-    /// built, naming the offending builder call.
+    /// built, naming the offending builder call. Rounds-mode templates
+    /// are rejected: their key index lives outside the shards, where
+    /// [`RebalanceMode::Drain`] cannot see it.
     pub fn validate(&self) -> Result<(), crate::engine::ConfigError> {
         if self.partitions == 0 {
             return Err(crate::engine::ConfigError::ZeroPartitions);
         }
         if self.vnodes == 0 {
             return Err(crate::engine::ConfigError::ZeroVnodes);
+        }
+        if self.engine.ingest == IngestMode::Rounds {
+            return Err(crate::engine::ConfigError::RoundsPartitions);
         }
         self.engine.validate()
     }
@@ -466,8 +471,8 @@ impl<S: ChoiceScheme + 'static> Cluster<S> {
     /// to `batch_size` (partial buffers flush at end of stream, in
     /// partition order). Each partition engine ingests its routed
     /// subsequence through its own configured
-    /// [`IngestMode`](crate::IngestMode) — phased and pipelined
-    /// partitions can coexist behind one cluster.
+    /// [`IngestMode`] — phased and pipelined partitions can coexist
+    /// behind one cluster.
     ///
     /// Flush boundaries depend only on the op stream and the partition
     /// count — never on node membership — which is what makes a 1-node
@@ -1047,6 +1052,30 @@ mod tests {
     fn cluster_rejects_invalid_engine_template_at_construction() {
         let bad = ClusterConfig::new(EngineConfig::new(2, 64, 3).pipelined(3));
         let _ = Cluster::by_name("double", bad, &[0]);
+    }
+
+    #[test]
+    fn validate_rejects_rounds_partition_engines() {
+        // Rounds engines keep their key index outside the shards, so a
+        // Drain rebalance would move no keys and drop the partition's
+        // balls; the template is refused instead.
+        let cfg = ClusterConfig::new(EngineConfig::new(2, 64, 3).seed(5).rounds());
+        assert_eq!(
+            cfg.validate(),
+            Err(crate::engine::ConfigError::RoundsPartitions)
+        );
+        let msg = crate::engine::ConfigError::RoundsPartitions.to_string();
+        assert!(
+            msg.contains("ClusterConfig::new(EngineConfig::rounds())"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid ClusterConfig")]
+    fn cluster_rejects_rounds_partition_engines_at_construction() {
+        let cfg = ClusterConfig::new(EngineConfig::new(2, 64, 3).seed(5).rounds());
+        let _ = Cluster::by_name("double", cfg, &[1, 2]);
     }
 
     #[test]

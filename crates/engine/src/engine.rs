@@ -2,7 +2,7 @@
 
 use crate::metrics::{EngineStats, ShardStats};
 use crate::op::{BatchSummary, Op};
-use crate::rounds::{tie_hash, Proposal, RoundReport, RoundsState, Winner};
+use crate::rounds::{RoundReport, RoundsState};
 use crate::shard::Shard;
 use crate::sink::{MetricRecord, MetricsSink};
 use crate::spsc;
@@ -56,11 +56,13 @@ pub enum IngestMode {
         /// burstier routing at the cost of memory.
         queue_depth: usize,
     },
-    /// Resolve each batch's inserts in synchronized bulk-parallel
-    /// rounds over the *global* bin space (see [`crate::rounds`]):
-    /// every pending ball proposes its next keyed probe, bins accept
-    /// proposals below the round's load threshold in salted-key-hash
-    /// tie order, and losers re-propose next round. Deletes and lookups
+    /// Resolve each batch's inserts in synchronized rounds over the
+    /// *global* bin space (see [`crate::rounds`]): every pending ball
+    /// proposes its next keyed probe, bins accept proposals below the
+    /// round's load threshold in salted-key-hash tie order, and losers
+    /// re-propose next round. Every round resolves on the calling
+    /// thread, so a rounds engine never spawns shard workers and
+    /// [`EngineConfig::workers`] has no effect. Deletes and lookups
     /// apply at batch barriers against pre-batch state. Placement is a
     /// pure function of *(batch contents as a multiset, seed)* —
     /// independent of op order within the batch, worker mode, and shard
@@ -71,7 +73,9 @@ pub enum IngestMode {
     Rounds,
 }
 
-/// How batches are applied across shards.
+/// How phased batches ([`IngestMode::Phased`]) are applied across
+/// shards. Pipelined serving always runs on the persistent workers, and
+/// rounds resolve on the calling thread, so neither consults this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum WorkerMode {
     /// Apply shard by shard on the calling thread — the reference every
@@ -101,11 +105,12 @@ pub struct EngineConfig {
     /// Which generator family drives each shard's stream (the paper's
     /// PRNG ablation, at the engine layer).
     pub rng: RngKind,
-    /// How batches are applied across shards. Results are bit-identical
-    /// for every mode; only throughput differs.
+    /// How phased batches are applied across shards (pipelined and
+    /// rounds ingestion ignore it). Results are bit-identical for every
+    /// mode; only throughput differs.
     pub workers: WorkerMode,
     /// How op streams are ingested: strict generate/apply phases, the
-    /// pipelined caller/worker overlap, or bulk rounds. Phased and
+    /// pipelined caller/worker overlap, or synchronized rounds. Phased and
     /// pipelined results are bit-identical; only throughput and memory
     /// bounds differ.
     pub ingest: IngestMode,
@@ -128,6 +133,9 @@ pub enum ConfigError {
     ZeroPartitions,
     /// A cluster ring was configured with zero virtual nodes per node.
     ZeroVnodes,
+    /// A cluster's partition engine template selects rounds ingestion,
+    /// whose key index a `Drain` rebalance cannot see.
+    RoundsPartitions,
 }
 
 impl fmt::Display for ConfigError {
@@ -152,6 +160,11 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroVnodes => write!(
                 f,
                 "ClusterConfig::vnodes(0): need at least one virtual node per node"
+            ),
+            ConfigError::RoundsPartitions => write!(
+                f,
+                "ClusterConfig::new(EngineConfig::rounds()): a Drain rebalance cannot \
+                 move rounds-mode keys; use phased or pipelined partition engines"
             ),
         }
     }
@@ -228,7 +241,7 @@ impl EngineConfig {
         self.ingest(IngestMode::Pipelined { queue_depth })
     }
 
-    /// Selects round-based bulk-parallel ingestion
+    /// Selects round-synchronized ingestion
     /// (see [`IngestMode::Rounds`]).
     pub fn rounds(self) -> Self {
         self.ingest(IngestMode::Rounds)
@@ -296,17 +309,6 @@ enum Job<S> {
         /// sink is attached, so untracked streams pay nothing).
         track: bool,
     },
-    /// Rounds mode: resolve one synchronized round's proposals against
-    /// this shard's bins (see [`crate::rounds`]) and report the winners.
-    Resolve {
-        /// The worker's shard, shipped for the duration of the round.
-        shard: Shard<S>,
-        /// This shard's slice of the round's proposals (bins are
-        /// shard-local).
-        proposals: Vec<Proposal>,
-        /// The round's load threshold: bins accept while below it.
-        threshold: u32,
-    },
 }
 
 /// What a worker reports after finishing a job: the shard (returned to
@@ -320,9 +322,6 @@ struct JobDone<S> {
     summary: BatchSummary,
     buffer: Vec<Op>,
     applies: Vec<Duration>,
-    /// Accepted proposals of a [`Job::Resolve`] round; empty for
-    /// batch/stream jobs.
-    winners: Vec<Winner>,
 }
 
 /// The persistent worker pool: one long-lived thread per shard, fed
@@ -330,9 +329,7 @@ struct JobDone<S> {
 /// results ring. Each is a capacity-1 [`spsc`] ring: the engine never has
 /// more than one job in flight per worker (it collects a job's result
 /// before sending the next), so sends never block, and a ring parks at
-/// once rather than spinning first. (With `std::sync::mpsc` here, rounds
-/// mode — one round trip per shard per round — ran ~24% slower on a
-/// 2-vCPU host.) Per-worker result
+/// once rather than spinning first. Per-worker result
 /// rings (rather than one shared queue) make worker death observable: a
 /// panicking worker drops its producer, so the engine's `recv` on that
 /// worker's ring errors out instead of blocking forever. Dropping the
@@ -365,21 +362,6 @@ impl<S: ChoiceScheme + 'static> WorkerPool<S> {
                                     summary,
                                     buffer: ops,
                                     applies: Vec::new(),
-                                    winners: Vec::new(),
-                                }
-                            }
-                            Job::Resolve {
-                                mut shard,
-                                proposals,
-                                threshold,
-                            } => {
-                                let winners = shard.rounds_resolve(proposals, threshold);
-                                JobDone {
-                                    shard,
-                                    summary: BatchSummary::default(),
-                                    buffer: Vec::new(),
-                                    applies: Vec::new(),
-                                    winners,
                                 }
                             }
                             Job::Stream {
@@ -413,7 +395,6 @@ impl<S: ChoiceScheme + 'static> WorkerPool<S> {
                                     summary,
                                     buffer: Vec::new(),
                                     applies,
-                                    winners: Vec::new(),
                                 }
                             }
                         };
@@ -667,13 +648,6 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
         self.iter_shards().collect()
     }
 
-    /// Mutable access to one shard between batches (internal).
-    fn shard_slot(&mut self, id: usize) -> &mut Shard<S> {
-        self.shards[id]
-            .as_mut()
-            .expect("shard present between batches")
-    }
-
     /// Allocation-free shard iteration for internal aggregates.
     fn iter_shards(&self) -> impl Iterator<Item = &Shard<S>> {
         self.shards
@@ -754,8 +728,8 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
 
     /// The sink-free batch application path shared by every worker mode.
     fn apply_batch_inner(&mut self, ops: &[Op]) -> BatchSummary {
-        if self.config.ingest == IngestMode::Rounds {
-            return self.apply_batch_rounds(ops);
+        if let Some(rounds) = self.rounds.as_mut() {
+            return rounds.apply_batch(&mut self.shards, ops);
         }
         let mut total = BatchSummary::default();
         if self.shards.len() == 1 {
@@ -817,244 +791,7 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
     /// calls return a fresh report covering only batches resolved since
     /// this one.
     pub fn take_round_report(&mut self) -> Option<RoundReport> {
-        self.rounds
-            .as_mut()
-            .map(|st| std::mem::take(&mut st.report))
-    }
-
-    /// The rounds-ingestion batch path (see [`crate::rounds`] for the
-    /// algorithm and its determinism contract): lookups observe
-    /// pre-batch state, deletes apply in ascending key order against
-    /// pre-batch placements, then the batch's inserts resolve in
-    /// synchronized propose/resolve rounds over the global bin space.
-    fn apply_batch_rounds(&mut self, ops: &[Op]) -> BatchSummary {
-        let mut st = self
-            .rounds
-            .take()
-            .expect("rounds state present under IngestMode::Rounds");
-        let mut summary = BatchSummary::default();
-        let shards = self.shards.len();
-        let bins_per_shard = self.config.bins_per_shard;
-
-        // Barrier 1: lookups, against the placements the batch started
-        // with. Each lookup reads the global index independently, so
-        // the recorded depths form a multiset pure in the batch's
-        // lookup keys — op order never matters. Observations attribute
-        // to the key's routed shard, matching the other ingest modes.
-        for &op in ops {
-            if let Op::Lookup(key) = op {
-                let depth = st.index.depth(key) as u32;
-                self.shard_slot(route(key, shards)).rounds_lookup(depth);
-                summary.lookups += 1;
-                summary.hits += u64::from(depth > 0);
-            }
-        }
-
-        // Barrier 2: deletes, against pre-batch placements, resolved in
-        // ascending key order (LIFO within a key's stack) so the
-        // outcome is pure in the batch's delete multiset. Inserts from
-        // this same batch are not yet placed and thus not deletable — a
-        // documented semantic difference from sequential ingestion.
-        let mut deletes: Vec<u64> = ops
-            .iter()
-            .filter_map(|op| match op {
-                Op::Delete(k) => Some(*k),
-                _ => None,
-            })
-            .collect();
-        deletes.sort_unstable();
-        for key in deletes {
-            match st.index.pop(key) {
-                Some(global) => {
-                    let owner = (global / bins_per_shard) as usize;
-                    self.shard_slot(owner)
-                        .rounds_delete(global % bins_per_shard);
-                    summary.deletes += 1;
-                }
-                None => {
-                    self.shard_slot(route(key, shards)).rounds_missed_delete();
-                    summary.missed_deletes += 1;
-                }
-            }
-        }
-
-        // The batch's balls, in canonical (key, duplicate-index) order:
-        // every later step is indexed by position in this list, so the
-        // whole resolution is pure in the insert multiset.
-        let mut keys: Vec<u64> = ops
-            .iter()
-            .filter_map(|op| match op {
-                Op::Insert(k) => Some(*k),
-                _ => None,
-            })
-            .collect();
-        keys.sort_unstable();
-        let balls = keys.len();
-        st.report.batches += 1;
-        if balls == 0 {
-            self.rounds = Some(st);
-            return summary;
-        }
-        let d = self.config.d;
-
-        // Propose prep: each ball's d global probes and its tie hash,
-        // derived once. `instance` numbers duplicate inserts of a key so
-        // their ties differ. One batched-kernel dispatch fills the whole
-        // probe matrix (row i = ball i's d global probes), bit-identical
-        // to per-ball choices_for by contract.
-        let mut probes = vec![0u64; balls * d];
-        st.scheme.choices_for_batch(&keys, st.salt, &mut probes);
-        let mut ties = Vec::with_capacity(balls);
-        let mut instance = 0u64;
-        for (i, &key) in keys.iter().enumerate() {
-            instance = if i > 0 && key == keys[i - 1] {
-                instance + 1
-            } else {
-                0
-            };
-            ties.push(tie_hash(key, st.salt, instance));
-        }
-
-        // The round loop. The threshold starts one above the emptiest
-        // bin and rises by one whenever d consecutive rounds place
-        // nothing — by then every pending ball has offered all d of its
-        // probes at the current threshold, so raising it is the only
-        // way forward (and guarantees termination).
-        let mut threshold = self
-            .iter_shards()
-            .flat_map(|s| s.allocation().loads().iter().copied())
-            .min()
-            .expect("at least one bin")
-            + 1;
-        let mut pending: Vec<u32> = (0..balls as u32).collect();
-        let mut cursor = vec![0u8; balls];
-        let mut placed = vec![false; balls];
-        let mut placed_bins = vec![0u64; balls];
-        let mut proposals: Vec<Vec<Proposal>> = (0..shards).map(|_| Vec::new()).collect();
-        let mut zero_streak = 0usize;
-        let mut rounds_this_batch = 0u64;
-        while !pending.is_empty() {
-            for buf in &mut proposals {
-                buf.clear();
-            }
-            for &ball in &pending {
-                let b = ball as usize;
-                let global = probes[b * d + cursor[b] as usize];
-                proposals[(global / bins_per_shard) as usize].push(Proposal {
-                    ball,
-                    bin: global % bins_per_shard,
-                    tie: ties[b],
-                    probe: cursor[b],
-                });
-            }
-            let winners = self.resolve_round(&mut proposals, threshold);
-            let mut placed_now = 0u64;
-            for (shard_id, accepted) in winners.iter().enumerate() {
-                for w in accepted {
-                    placed[w.ball as usize] = true;
-                    placed_bins[w.ball as usize] = shard_id as u64 * bins_per_shard + w.bin;
-                    placed_now += 1;
-                }
-            }
-            pending.retain(|&ball| !placed[ball as usize]);
-            for &ball in &pending {
-                let b = ball as usize;
-                cursor[b] = if usize::from(cursor[b]) + 1 == d {
-                    0
-                } else {
-                    cursor[b] + 1
-                };
-            }
-            let round = rounds_this_batch as usize;
-            rounds_this_batch += 1;
-            if !pending.is_empty() {
-                if st.report.reproposals.len() <= round {
-                    st.report.reproposals.resize(round + 1, 0);
-                }
-                st.report.reproposals[round] += pending.len() as u64;
-            }
-            if placed_now == 0 {
-                zero_streak += 1;
-                if zero_streak == d {
-                    threshold += 1;
-                    zero_streak = 0;
-                }
-            } else {
-                zero_streak = 0;
-            }
-        }
-
-        // Commit placements to the global index in canonical ball
-        // order, so a key's LIFO stack is also pure in the batch set.
-        for b in 0..balls {
-            st.index.push(keys[b], placed_bins[b]);
-        }
-        summary.inserts += balls as u64;
-        st.report.balls += balls as u64;
-        st.report.rounds += rounds_this_batch;
-        st.report.max_rounds_per_batch = st.report.max_rounds_per_batch.max(rounds_this_batch);
-        st.report.max_load = st.report.max_load.max(self.max_load());
-        self.rounds = Some(st);
-        summary
-    }
-
-    /// Resolves one synchronized round across the shards, dispatching on
-    /// the configured [`WorkerMode`] exactly like phased batches: inline
-    /// or the persistent pool via [`Job::Resolve`]. Returns each shard's
-    /// accepted proposals, indexed by shard id. The outcome is
-    /// mode-independent: a bin's acceptances depend only on its own
-    /// proposals and threshold.
-    fn resolve_round(
-        &mut self,
-        proposals: &mut [Vec<Proposal>],
-        threshold: u32,
-    ) -> Vec<Vec<Winner>> {
-        let shards = self.shards.len();
-        match self.config.workers {
-            WorkerMode::Sequential => self
-                .shards
-                .iter_mut()
-                .zip(proposals.iter_mut())
-                .map(|(slot, props)| {
-                    if props.is_empty() {
-                        return Vec::new();
-                    }
-                    let shard = slot.as_mut().expect("shard present between batches");
-                    shard.rounds_resolve(std::mem::take(props), threshold)
-                })
-                .collect(),
-            WorkerMode::Persistent => {
-                let pool = self.pool.get_or_insert_with(|| WorkerPool::spawn(shards));
-                for (id, props) in proposals.iter_mut().enumerate() {
-                    if props.is_empty() {
-                        continue;
-                    }
-                    let shard = self.shards[id]
-                        .take()
-                        .expect("shard present between batches");
-                    let job = Job::Resolve {
-                        shard,
-                        proposals: std::mem::take(props),
-                        threshold,
-                    };
-                    if pool.jobs[id].send(job).is_err() {
-                        panic!("shard worker {id} exited early");
-                    }
-                }
-                let mut winners: Vec<Vec<Winner>> = (0..shards).map(|_| Vec::new()).collect();
-                for (id, slot) in winners.iter_mut().enumerate() {
-                    if self.shards[id].is_some() {
-                        continue; // no proposals reached this shard
-                    }
-                    let done = pool.results[id]
-                        .recv()
-                        .unwrap_or_else(|_| panic!("shard worker {id} panicked"));
-                    self.shards[id] = Some(done.shard);
-                    *slot = done.winners;
-                }
-                winners
-            }
-        }
+        self.rounds.as_mut().map(RoundsState::take_report)
     }
 
     /// Applies a long op stream in `batch_size` chunks; returns the overall
@@ -1346,19 +1083,19 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::sink::SharedSink;
     use ba_core::{run_process, run_process_keys};
     use ba_hash::{ChoiceSource, DoubleHashing};
     use ba_rng::SeedSequence;
 
-    fn engine(shards: usize, workers: WorkerMode) -> Engine<AnyScheme> {
+    pub(crate) fn engine(shards: usize, workers: WorkerMode) -> Engine<AnyScheme> {
         let cfg = EngineConfig::new(shards, 256, 3).seed(42).workers(workers);
         Engine::by_name("double", cfg).unwrap()
     }
 
-    fn mixed_ops(count: u64) -> Vec<Op> {
+    pub(crate) fn mixed_ops(count: u64) -> Vec<Op> {
         (0..count)
             .map(|i| match i % 5 {
                 0..=2 => Op::Insert(i / 2),
@@ -1870,141 +1607,15 @@ mod tests {
         }
     }
 
-    /// Concatenated per-shard bin loads in shard order — the global bin
-    /// vector the rounds determinism contract is stated over.
-    fn global_loads(engine: &Engine<AnyScheme>) -> Vec<u32> {
-        engine
-            .shards()
-            .iter()
-            .flat_map(|s| s.allocation().loads().to_vec())
-            .collect()
-    }
-
-    fn rounds_engine(shards: usize, workers: WorkerMode) -> Engine<AnyScheme> {
-        let bins = 1024 / shards as u64; // constant 1024 global bins
-        let cfg = EngineConfig::new(shards, bins, 3)
-            .seed(42)
-            .workers(workers)
-            .rounds();
-        Engine::by_name("double", cfg).unwrap()
-    }
-
     #[test]
-    fn rounds_places_every_ball_and_reports() {
-        let mut e = rounds_engine(4, WorkerMode::Sequential);
-        let ops: Vec<Op> = (0..800u64).map(Op::Insert).collect();
-        let summary = e.apply_batch(&ops);
-        assert_eq!(summary.inserts, 800);
-        assert_eq!(e.total_balls(), 800);
-        let report = e.take_round_report().expect("rounds mode");
-        assert_eq!(report.batches, 1);
-        assert_eq!(report.balls, 800);
-        assert!(report.rounds >= 1);
-        assert_eq!(report.max_load, e.max_load());
-        // 800 balls into 1024 bins with d = 3: the bulk process stays
-        // in the same low-max-load regime as sequential d-choice.
-        assert!(e.max_load() <= 4, "max load {}", e.max_load());
-        // Drained: the next report covers only new batches.
-        assert_eq!(e.take_round_report().unwrap(), RoundReport::default());
-    }
-
-    #[test]
-    fn rounds_result_is_pure_in_the_batch_set() {
-        // The tentpole contract at the unit level: permuting the ops
-        // within a batch, changing worker mode, or shard count never
-        // changes the global bin vector or summary.
-        let mut ops = mixed_ops(6_000);
-        let mut base = rounds_engine(1, WorkerMode::Sequential);
-        let expected = base.apply_batch(&ops);
-        let expected_loads = global_loads(&base);
-        ops.reverse();
-        for (shards, workers) in [
-            (1, WorkerMode::Sequential),
-            (4, WorkerMode::Persistent),
-            (8, WorkerMode::Persistent),
-        ] {
-            let mut e = rounds_engine(shards, workers);
-            let got = e.apply_batch(&ops);
-            assert_eq!(got, expected, "{shards} shards {workers:?}");
-            assert_eq!(
-                global_loads(&e),
-                expected_loads,
-                "{shards} shards {workers:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn rounds_barriers_apply_deletes_and_lookups_against_pre_batch_state() {
-        let mut e = rounds_engine(2, WorkerMode::Sequential);
-        e.apply_batch(&[Op::Insert(7), Op::Insert(7), Op::Insert(9)]);
-        // Lookups see pre-batch placements; the same-batch delete of key
-        // 9 cannot see the same-batch insert of key 11.
-        let summary = e.apply_batch(&[
-            Op::Delete(7),
-            Op::Lookup(7),
-            Op::Insert(11),
-            Op::Delete(11),
-            Op::Delete(9),
-            Op::Lookup(404),
-        ]);
-        assert_eq!(summary.inserts, 1);
-        assert_eq!(summary.deletes, 2);
-        assert_eq!(summary.missed_deletes, 1, "same-batch insert not deletable");
-        assert_eq!(summary.lookups, 2);
-        assert_eq!(summary.hits, 1);
-        // Balls: 3 placed, 2 deleted, 1 placed = 2 live.
-        assert_eq!(e.total_balls(), 2);
-        // The delete of key 7 freed the newest of its two balls; the
-        // next batch can still delete the older one.
-        let s2 = e.apply_batch(&[Op::Delete(7), Op::Delete(7)]);
-        assert_eq!((s2.deletes, s2.missed_deletes), (1, 1));
-    }
-
-    #[test]
-    fn rounds_batches_are_order_sensitive_only_across_barriers() {
-        // Two engines serve the same two batches; within each batch the
-        // op order differs. Final state must match exactly.
-        let batch1: Vec<Op> = (0..500u64).map(Op::Insert).collect();
-        let mut batch2: Vec<Op> = (0..500u64)
-            .map(|i| {
-                if i % 3 == 0 {
-                    Op::Delete(i)
-                } else {
-                    Op::Insert(i)
-                }
-            })
-            .collect();
-        let mut a = rounds_engine(4, WorkerMode::Persistent);
-        a.apply_batch(&batch1);
-        a.apply_batch(&batch2);
-        let mut b = rounds_engine(4, WorkerMode::Persistent);
-        let mut shuffled1 = batch1.clone();
-        shuffled1.rotate_left(123);
-        b.apply_batch(&shuffled1);
-        batch2.reverse();
-        b.apply_batch(&batch2);
-        assert_eq!(global_loads(&a), global_loads(&b));
-        assert!(a.stats().matches(&b.stats()), "stats must match too");
-    }
-
-    #[test]
-    fn rounds_threshold_escalates_past_full_tables() {
-        // 64 bins, 256 balls: mean load 4, so the threshold must rise
-        // repeatedly and every ball must still land.
-        let cfg = EngineConfig::new(2, 32, 3).seed(7).rounds();
-        let mut e = Engine::by_name("double", cfg).unwrap();
-        let ops: Vec<Op> = (0..256u64).map(Op::Insert).collect();
-        assert_eq!(e.apply_batch(&ops).inserts, 256);
-        assert_eq!(e.total_balls(), 256);
-        let report = e.take_round_report().unwrap();
-        assert!(report.max_load >= 4, "max load {}", report.max_load);
-        assert_eq!(report.max_rounds_per_batch, report.rounds);
-    }
-
-    #[test]
-    fn take_round_report_is_none_outside_rounds_mode() {
-        let mut e = engine(2, WorkerMode::Sequential);
-        assert!(e.take_round_report().is_none());
+    fn rounds_engine_never_spawns_shard_workers() {
+        // Rounds resolve on the calling thread: even under the default
+        // persistent worker mode, serving spawns no pool.
+        let cfg = EngineConfig::new(4, 256, 3).seed(42).rounds();
+        assert_eq!(cfg.workers, WorkerMode::Persistent);
+        let mut eng = Engine::by_name("double", cfg).unwrap();
+        let summary = eng.serve(&mixed_ops(4_000), 512);
+        assert_eq!(summary.inserts, eng.take_round_report().unwrap().balls);
+        assert!(eng.pool.is_none(), "rounds engine spawned shard workers");
     }
 }

@@ -26,11 +26,12 @@
 //!   bit-for-bit, and an insert-only shard reproduces
 //!   `ba_core::run_process` (or `run_process_keys` in keyed mode) exactly.
 //! * **Persistent workers** — [`Engine::serve`] chunks an op stream into
-//!   batches; each batch is partitioned per shard (order-preserving,
-//!   into reusable scratch buffers — the hot path allocates nothing
-//!   after warm-up) and fanned out to one long-lived worker thread per
-//!   shard ([`WorkerMode::Persistent`]) over a capacity-1 SPSC ring
-//!   ([`spsc`]) per direction, avoiding a thread spawn per batch;
+//!   batches; under phased ingestion each batch is partitioned per shard
+//!   (order-preserving, into reusable scratch buffers — the hot path
+//!   allocates nothing after warm-up) and fanned out to one long-lived
+//!   worker thread per shard ([`WorkerMode::Persistent`]) over a
+//!   capacity-1 SPSC ring ([`spsc`]) per direction, avoiding a thread
+//!   spawn per batch;
 //!   `std::sync::mpsc` carries only the pipelined path's drained-buffer
 //!   recycling. Workers join gracefully when the engine drops.
 //! * **Pipelined ingestion** — [`IngestMode::Pipelined`] (via
@@ -42,14 +43,16 @@
 //!   batches; drained batch buffers recycle back to the calling thread.
 //!   Bit-identical results to phased serving, strictly better
 //!   caller/worker overlap.
-//! * **Round-based bulk-parallel ingestion** — [`IngestMode::Rounds`]
+//! * **Round-synchronized ingestion** — [`IngestMode::Rounds`]
 //!   (module [`rounds`]) resolves each batch's inserts in synchronized
-//!   propose/resolve rounds over the *global* bin space: bins accept
-//!   proposals below a load threshold in salted-key-hash tie order,
-//!   losers re-propose. Placement is a pure function of *(batch
-//!   contents as a multiset, seed)* — independent of op order, worker
-//!   mode, and shard count — and each batch yields a
+//!   propose/accept rounds over the *global* bin space, on the calling
+//!   thread: bins accept proposals below a load threshold in
+//!   salted-key-hash tie order, losers re-propose. Placement is a pure
+//!   function of *(batch contents as a multiset, seed)* — independent of
+//!   op order, worker mode, and shard count — and each batch yields a
 //!   [`RoundReport`] (rounds taken, re-proposals per round, max load).
+//!   Batches take tens to hundreds of rounds, so rounds mode serves
+//!   several times slower than sequential d-choice.
 //! * **Replay** — [`Engine::serve_replay`] ingests an op *iterator* in
 //!   batch-sized chunks, so captured workload files (the `ba-workload`
 //!   replay module's `.baops` format) replay at live-serving memory cost,
@@ -69,7 +72,9 @@
 //!   affected partitions wholesale ([`RebalanceMode::Transfer`]) or
 //!   drains them key by key through keyed delete→re-insert
 //!   ([`RebalanceMode::Drain`]), logging explainable divergences;
-//!   cluster-wide stats merge via [`EngineStats::merge`].
+//!   cluster-wide stats merge via [`EngineStats::merge`]. Partition
+//!   engines may not use rounds ingestion, whose key index a drain
+//!   cannot see ([`ConfigError::RoundsPartitions`]).
 //! * **Telemetry** — attaching a [`MetricsSink`] via [`Engine::set_sink`]
 //!   emits one [`MetricRecord`] per applied batch (size, op mix, apply
 //!   latency, and — on the pipelined path — bounded-queue occupancy and

@@ -1,24 +1,29 @@
-//! Round-based bulk-parallel allocation (`IngestMode::Rounds`).
+//! Round-synchronized allocation (`IngestMode::Rounds`).
 //!
-//! The paper's d-choice placement is inherently sequential per ball:
-//! every insert observes the loads left by the previous one. The MPC
-//! sparsification line (Ghaffari–Uitto; Czumaj–Davies–Parter) shows the
-//! same load guarantees survive a *bulk* formulation, which this module
-//! adopts as a genuinely different ingestion semantics: a whole batch of
-//! inserts resolves in O(log log n)-style synchronized rounds —
+//! The paper's d-choice placement is sequential per ball: every insert
+//! observes the loads left by the previous one. This module instead
+//! resolves a whole batch of inserts in synchronized rounds, the
+//! MPC-style formulation of Ghaffari–Uitto (arXiv 1807.06251):
 //!
 //! 1. **Propose** — every pending ball offers its next probe from a
 //!    keyed choice vector derived from `(key, rounds salt)` over the
 //!    *global* bin space (`shards × bins_per_shard` bins), derived for
 //!    the whole batch in one batched-kernel call.
-//! 2. **Resolve** — each bin accepts proposals while its load sits
-//!    below the round's threshold, taking them in salted-key-hash tie
-//!    order (never arrival order). Bins partition cleanly across the
-//!    shard workers, so resolution is embarrassingly parallel too.
+//! 2. **Accept** — each bin accepts proposals while its load sits below
+//!    the round's threshold, taking them in salted-key-hash tie order
+//!    (never arrival order).
 //! 3. **Re-propose** — losers advance to their next probe (wrapping).
 //!    After `d` consecutive rounds with no placement every pending ball
 //!    has offered all `d` probes at the current threshold, so the
 //!    threshold rises by one — which guarantees termination.
+//!
+//! Where each ball lands is fixed by this process alone, so every round
+//! resolves on the calling thread over one proposal list sorted by
+//! `(global bin, tie, ball)`; the shard worker pool is never spawned.
+//! The process takes many rounds: `tables rounds` (double hashing,
+//! 1,024-op batches over 1,024 bins, d = 4) needs about 17 per batch on
+//! uniform traffic, 131 on zipf, 41 on bursty and 11 on churn, and the
+//! `zipf-rounds` perfbench workload about 770.
 //!
 //! Deletes and lookups apply at batch barriers against pre-batch state:
 //! lookups first (they observe the placements the batch started with),
@@ -27,7 +32,7 @@
 //! documented semantic difference from sequential ingestion.
 //!
 //! **Determinism contract.** The final [`Allocation`](ba_core::Allocation)
-//! — and the engine's [`BatchSummary`](crate::BatchSummary) — is a pure
+//! — and the engine's [`BatchSummary`] — is a pure
 //! function of *(batch contents as a multiset, seed)*: independent of op
 //! order within the batch, worker mode, and even shard count (the
 //! global bin vector is invariant; only its partitioning into shards
@@ -39,13 +44,17 @@
 //! sequential serving, which still depends on stream order.
 //!
 //! **Limitations.** Rounds mode keeps its own global key index; the
-//! per-shard key indexes ([`Shard::bins_of`](crate::Shard::bins_of),
-//! `live_key_ids`) stay empty, so cluster `Drain` rebalancing and
-//! placement maps see no live keys under this mode. `ChoiceMode` and
-//! `TieBreak` are ignored: choices are always keyed off the rounds salt
-//! and ties always break by key hash.
+//! per-shard key indexes ([`Shard::bins_of`],
+//! `live_key_ids`) stay empty, so cluster `Drain` rebalancing could not
+//! move its keys — [`ClusterConfig::validate`](crate::ClusterConfig::validate)
+//! rejects rounds partition engines. `ChoiceMode` and `TieBreak` are
+//! ignored: choices are always keyed off the rounds salt and ties always
+//! break by key hash.
 
+use crate::engine::route;
 use crate::index::KeyIndex;
+use crate::op::{BatchSummary, Op};
+use crate::shard::Shard;
 use ba_hash::ChoiceScheme;
 use ba_rng::{SeedSequence, SplitMix64};
 
@@ -68,33 +77,24 @@ pub struct RoundReport {
     pub max_rounds_per_batch: u64,
     /// Re-proposals per round index, summed over batches:
     /// `reproposals[r]` counts the balls still pending after round
-    /// `r + 1` of their batch. A fast-decaying head is the O(log log n)
-    /// signature.
+    /// `r + 1` of their batch. Its length is the longest batch's round
+    /// count; its sum is the number of proposals that lost.
     pub reproposals: Vec<u64>,
     /// The maximum bin load observed after any resolved batch.
     pub max_load: u32,
 }
 
-/// One pending ball's offer to one bin, addressed shard-locally.
+/// One pending ball's offer to one bin in one round.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Proposal {
-    /// Index of the ball within the batch's sorted insert list.
-    pub(crate) ball: u32,
-    /// The proposed bin, local to the shard owning it.
-    pub(crate) bin: u64,
+struct Proposal {
+    /// The proposed bin in the global bin space.
+    bin: u64,
     /// Salted key hash breaking same-bin collisions — never arrival order.
-    pub(crate) tie: u64,
+    tie: u64,
+    /// Index of the ball within the batch's sorted insert list.
+    ball: u32,
     /// Which probe of the ball's choice vector this is (0-based).
-    pub(crate) probe: u8,
-}
-
-/// An accepted proposal a shard reports back after resolving a round.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Winner {
-    /// Index of the placed ball within the batch's sorted insert list.
-    pub(crate) ball: u32,
-    /// The bin that accepted it, local to the reporting shard.
-    pub(crate) bin: u64,
+    probe: u8,
 }
 
 /// Collision tie-break hash: pure in `(key, salt, instance)`, where
@@ -112,13 +112,16 @@ pub(crate) fn tie_hash(key: u64, salt: u64, instance: u64) -> u64 {
 pub(crate) struct RoundsState<S> {
     /// One scheme over the *global* bin space (`shards × bins_per_shard`
     /// bins), so probe vectors never depend on the shard layout.
-    pub(crate) scheme: S,
+    scheme: S,
     /// The engine-wide rounds salt (see [`ROUNDS_SALT_CHILD`]).
-    pub(crate) salt: u64,
+    salt: u64,
+    /// Bins per shard: global bin `b` lives in shard
+    /// `b / bins_per_shard` at local bin `b % bins_per_shard`.
+    bins_per_shard: u64,
     /// key -> stack of *global* bins holding that key's balls (LIFO).
-    pub(crate) index: KeyIndex,
-    /// Everything resolved so far.
-    pub(crate) report: RoundReport,
+    index: KeyIndex,
+    /// Everything resolved since the last [`RoundsState::take_report`].
+    report: RoundReport,
 }
 
 impl<S: ChoiceScheme> RoundsState<S> {
@@ -141,18 +144,193 @@ impl<S: ChoiceScheme> RoundsState<S> {
         Self {
             scheme,
             salt,
+            bins_per_shard,
             // Salt-seeded like the shard indexes: deterministic probe
             // order, sorted enumeration on every observable surface.
             index: KeyIndex::with_seed(salt),
             report: RoundReport::default(),
         }
     }
+
+    /// Drains the report accumulated since the previous call.
+    pub(crate) fn take_report(&mut self) -> RoundReport {
+        std::mem::take(&mut self.report)
+    }
+
+    /// Applies one batch to the engine's shards (every slot must hold
+    /// its shard): lookups observe pre-batch state, deletes apply in
+    /// ascending key order against pre-batch placements, then the
+    /// batch's inserts resolve round by round over the global bin space.
+    pub(crate) fn apply_batch(
+        &mut self,
+        slots: &mut [Option<Shard<S>>],
+        ops: &[Op],
+    ) -> BatchSummary {
+        let mut shards: Vec<&mut Shard<S>> = slots
+            .iter_mut()
+            .map(|slot| slot.as_mut().expect("shard present between batches"))
+            .collect();
+        let shard_count = shards.len();
+        let bins_per_shard = self.bins_per_shard;
+        let mut summary = BatchSummary::default();
+
+        // Barrier 1: lookups, against the placements the batch started
+        // with (deletes and inserts are only collected here). Each lookup
+        // reads the global index independently, so the recorded depths
+        // form a multiset pure in the batch's lookup keys. Observations
+        // attribute to the key's routed shard, as in the other modes.
+        let (mut deletes, mut keys) = (Vec::new(), Vec::new());
+        for &op in ops {
+            match op {
+                Op::Lookup(key) => {
+                    let depth = self.index.depth(key) as u32;
+                    shards[route(key, shard_count)].rounds_lookup(depth);
+                    summary.lookups += 1;
+                    summary.hits += u64::from(depth > 0);
+                }
+                Op::Delete(key) => deletes.push(key),
+                Op::Insert(key) => keys.push(key),
+            }
+        }
+
+        // Barrier 2: deletes, against pre-batch placements, resolved in
+        // ascending key order (LIFO within a key's stack) so the
+        // outcome is pure in the batch's delete multiset. Inserts from
+        // this same batch are not yet placed and thus not deletable — a
+        // documented semantic difference from sequential ingestion.
+        deletes.sort_unstable();
+        for key in deletes {
+            match self.index.pop(key) {
+                Some(global) => {
+                    shards[(global / bins_per_shard) as usize]
+                        .rounds_delete(global % bins_per_shard);
+                    summary.deletes += 1;
+                }
+                None => {
+                    shards[route(key, shard_count)].rounds_missed_delete();
+                    summary.missed_deletes += 1;
+                }
+            }
+        }
+
+        // The batch's balls, in canonical (key, duplicate-index) order:
+        // every later step is indexed by position in this list, so the
+        // whole resolution is pure in the insert multiset.
+        keys.sort_unstable();
+        let balls = keys.len();
+        self.report.batches += 1;
+        if balls == 0 {
+            return summary;
+        }
+        let d = self.scheme.d();
+
+        // Propose prep: each ball's d global probes and its tie hash,
+        // derived once. `instance` numbers duplicate inserts of a key so
+        // their ties differ. One batched-kernel dispatch fills the whole
+        // probe matrix (row i = ball i's d global probes), bit-identical
+        // to per-ball choices_for by contract.
+        let mut probes = vec![0u64; balls * d];
+        self.scheme.choices_for_batch(&keys, self.salt, &mut probes);
+        let mut instance = 0u64;
+        let ties: Vec<u64> = (0..balls)
+            .map(|i| {
+                instance = if i > 0 && keys[i] == keys[i - 1] {
+                    instance + 1
+                } else {
+                    0
+                };
+                tie_hash(keys[i], self.salt, instance)
+            })
+            .collect();
+
+        // The round loop. The threshold starts one above the emptiest
+        // bin and rises by one whenever d consecutive rounds place
+        // nothing — by then every pending ball has offered all d of its
+        // probes at the current threshold, so raising it is the only
+        // way forward (and guarantees termination).
+        let mut threshold = shards
+            .iter()
+            .flat_map(|s| s.allocation().loads().iter().copied())
+            .min()
+            .expect("at least one bin")
+            + 1;
+        let mut pending: Vec<u32> = (0..balls as u32).collect();
+        let mut cursor = vec![0u8; balls];
+        let mut placed: Vec<Option<u64>> = vec![None; balls];
+        let mut proposals: Vec<Proposal> = Vec::with_capacity(balls);
+        let mut zero_streak = 0usize;
+        let mut rounds_this_batch = 0u64;
+        while !pending.is_empty() {
+            proposals.clear();
+            proposals.extend(pending.iter().map(|&ball| {
+                let b = ball as usize;
+                Proposal {
+                    bin: probes[b * d + usize::from(cursor[b])],
+                    tie: ties[b],
+                    ball,
+                    probe: cursor[b],
+                }
+            }));
+            // Each bin takes its proposals in (tie, ball) order while
+            // below the threshold. Global bin order is shard order, then
+            // local bin order, so each shard's inserts arrive in
+            // (local bin, tie, ball) order whatever the shard count.
+            proposals.sort_unstable_by_key(|p| (p.bin, p.tie, p.ball));
+            let mut placed_now = 0u64;
+            for p in &proposals {
+                let shard = &mut shards[(p.bin / bins_per_shard) as usize];
+                let local = p.bin % bins_per_shard;
+                if shard.allocation().load(local) < threshold {
+                    shard.rounds_insert(local, p.probe);
+                    placed[p.ball as usize] = Some(p.bin);
+                    placed_now += 1;
+                }
+            }
+            pending.retain(|&ball| placed[ball as usize].is_none());
+            for &ball in &pending {
+                let b = ball as usize;
+                cursor[b] = ((usize::from(cursor[b]) + 1) % d) as u8;
+            }
+            let round = rounds_this_batch as usize;
+            rounds_this_batch += 1;
+            if !pending.is_empty() {
+                if self.report.reproposals.len() <= round {
+                    self.report.reproposals.resize(round + 1, 0);
+                }
+                self.report.reproposals[round] += pending.len() as u64;
+            }
+            zero_streak = if placed_now == 0 { zero_streak + 1 } else { 0 };
+            if zero_streak == d {
+                threshold += 1;
+                zero_streak = 0;
+            }
+        }
+
+        // Commit placements to the global index in canonical ball
+        // order, so a key's LIFO stack is also pure in the batch set.
+        for (&key, bin) in keys.iter().zip(&placed) {
+            self.index.push(key, bin.expect("every ball placed"));
+        }
+        summary.inserts += balls as u64;
+        self.report.balls += balls as u64;
+        self.report.rounds += rounds_this_batch;
+        self.report.max_rounds_per_batch = self.report.max_rounds_per_batch.max(rounds_this_batch);
+        let max_load = shards
+            .iter()
+            .map(|s| s.allocation().max_load())
+            .max()
+            .unwrap_or(0);
+        self.report.max_load = self.report.max_load.max(max_load);
+        summary
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ba_hash::DoubleHashing;
+    use crate::engine::tests::{engine, mixed_ops};
+    use crate::{Engine, EngineConfig, WorkerMode};
+    use ba_hash::{AnyScheme, DoubleHashing};
 
     #[test]
     fn tie_hash_is_pure_and_instance_sensitive() {
@@ -173,5 +351,143 @@ mod tests {
     #[should_panic(expected = "global bin space")]
     fn mismatched_scheme_span_is_rejected() {
         RoundsState::new(DoubleHashing::new(512, 3), 42, 4, 256);
+    }
+
+    /// Concatenated per-shard bin loads in shard order — the global bin
+    /// vector the rounds determinism contract is stated over.
+    fn global_loads(engine: &Engine<AnyScheme>) -> Vec<u32> {
+        engine
+            .shards()
+            .iter()
+            .flat_map(|s| s.allocation().loads().to_vec())
+            .collect()
+    }
+
+    fn rounds_engine(shards: usize, workers: WorkerMode) -> Engine<AnyScheme> {
+        let bins = 1024 / shards as u64; // constant 1024 global bins
+        let cfg = EngineConfig::new(shards, bins, 3)
+            .seed(42)
+            .workers(workers)
+            .rounds();
+        Engine::by_name("double", cfg).unwrap()
+    }
+
+    #[test]
+    fn rounds_places_every_ball_and_reports() {
+        let mut e = rounds_engine(4, WorkerMode::Sequential);
+        let ops: Vec<Op> = (0..800u64).map(Op::Insert).collect();
+        let summary = e.apply_batch(&ops);
+        assert_eq!(summary.inserts, 800);
+        assert_eq!(e.total_balls(), 800);
+        let report = e.take_round_report().expect("rounds mode");
+        assert_eq!(report.batches, 1);
+        assert_eq!(report.balls, 800);
+        assert!(report.rounds >= 1);
+        assert_eq!(report.max_load, e.max_load());
+        // 800 balls into 1024 bins with d = 3: the bulk process stays
+        // in the same low-max-load regime as sequential d-choice.
+        assert!(e.max_load() <= 4, "max load {}", e.max_load());
+        // Drained: the next report covers only new batches.
+        assert_eq!(e.take_round_report().unwrap(), RoundReport::default());
+    }
+
+    #[test]
+    fn rounds_result_is_pure_in_the_batch_set() {
+        // The tentpole contract at the unit level: permuting the ops
+        // within a batch, changing worker mode, or shard count never
+        // changes the global bin vector or summary.
+        let mut ops = mixed_ops(6_000);
+        let mut base = rounds_engine(1, WorkerMode::Sequential);
+        let expected = base.apply_batch(&ops);
+        let expected_loads = global_loads(&base);
+        ops.reverse();
+        for (shards, workers) in [
+            (1, WorkerMode::Sequential),
+            (4, WorkerMode::Persistent),
+            (8, WorkerMode::Persistent),
+        ] {
+            let mut e = rounds_engine(shards, workers);
+            let got = e.apply_batch(&ops);
+            assert_eq!(got, expected, "{shards} shards {workers:?}");
+            assert_eq!(
+                global_loads(&e),
+                expected_loads,
+                "{shards} shards {workers:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn rounds_barriers_apply_deletes_and_lookups_against_pre_batch_state() {
+        let mut e = rounds_engine(2, WorkerMode::Sequential);
+        e.apply_batch(&[Op::Insert(7), Op::Insert(7), Op::Insert(9)]);
+        // Lookups see pre-batch placements; the same-batch delete of key
+        // 9 cannot see the same-batch insert of key 11.
+        let summary = e.apply_batch(&[
+            Op::Delete(7),
+            Op::Lookup(7),
+            Op::Insert(11),
+            Op::Delete(11),
+            Op::Delete(9),
+            Op::Lookup(404),
+        ]);
+        assert_eq!(summary.inserts, 1);
+        assert_eq!(summary.deletes, 2);
+        assert_eq!(summary.missed_deletes, 1, "same-batch insert not deletable");
+        assert_eq!(summary.lookups, 2);
+        assert_eq!(summary.hits, 1);
+        // Balls: 3 placed, 2 deleted, 1 placed = 2 live.
+        assert_eq!(e.total_balls(), 2);
+        // The delete of key 7 freed the newest of its two balls; the
+        // next batch can still delete the older one.
+        let s2 = e.apply_batch(&[Op::Delete(7), Op::Delete(7)]);
+        assert_eq!((s2.deletes, s2.missed_deletes), (1, 1));
+    }
+
+    #[test]
+    fn rounds_batches_are_order_sensitive_only_across_barriers() {
+        // Two engines serve the same two batches; within each batch the
+        // op order differs. Final state must match exactly.
+        let batch1: Vec<Op> = (0..500u64).map(Op::Insert).collect();
+        let mut batch2: Vec<Op> = (0..500u64)
+            .map(|i| {
+                if i % 3 == 0 {
+                    Op::Delete(i)
+                } else {
+                    Op::Insert(i)
+                }
+            })
+            .collect();
+        let mut a = rounds_engine(4, WorkerMode::Persistent);
+        a.apply_batch(&batch1);
+        a.apply_batch(&batch2);
+        let mut b = rounds_engine(4, WorkerMode::Persistent);
+        let mut shuffled1 = batch1.clone();
+        shuffled1.rotate_left(123);
+        b.apply_batch(&shuffled1);
+        batch2.reverse();
+        b.apply_batch(&batch2);
+        assert_eq!(global_loads(&a), global_loads(&b));
+        assert!(a.stats().matches(&b.stats()), "stats must match too");
+    }
+
+    #[test]
+    fn rounds_threshold_escalates_past_full_tables() {
+        // 64 bins, 256 balls: mean load 4, so the threshold must rise
+        // repeatedly and every ball must still land.
+        let cfg = EngineConfig::new(2, 32, 3).seed(7).rounds();
+        let mut e = Engine::by_name("double", cfg).unwrap();
+        let ops: Vec<Op> = (0..256u64).map(Op::Insert).collect();
+        assert_eq!(e.apply_batch(&ops).inserts, 256);
+        assert_eq!(e.total_balls(), 256);
+        let report = e.take_round_report().unwrap();
+        assert!(report.max_load >= 4, "max load {}", report.max_load);
+        assert_eq!(report.max_rounds_per_batch, report.rounds);
+    }
+
+    #[test]
+    fn take_round_report_is_none_outside_rounds_mode() {
+        let mut e = engine(2, WorkerMode::Sequential);
+        assert!(e.take_round_report().is_none());
     }
 }

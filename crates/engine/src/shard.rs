@@ -4,7 +4,6 @@ use crate::engine::{ChoiceMode, EngineConfig};
 use crate::index::KeyIndex;
 use crate::metrics::OpObservations;
 use crate::op::{BatchSummary, Op};
-use crate::rounds::{Proposal, Winner};
 use ba_core::{Allocation, TieBreak};
 use ba_hash::{ChoiceScheme, ChoiceSource};
 use ba_rng::{AnyRng, SeedSequence};
@@ -274,38 +273,12 @@ impl<S: ChoiceScheme> Shard<S> {
         hit
     }
 
-    /// Resolves one synchronized round over this shard's bins (rounds
-    /// ingestion, see [`crate::rounds`]): proposals sort by
-    /// `(bin, tie, ball)` — never arrival order — and each bin accepts
-    /// while its load sits below `threshold`. Acceptance consumes no
-    /// RNG, so the shard's stream stays untouched. Winners are placed
-    /// immediately and reported back shard-locally; the caller owns the
-    /// global key index.
-    pub(crate) fn rounds_resolve(
-        &mut self,
-        mut proposals: Vec<Proposal>,
-        threshold: u32,
-    ) -> Vec<Winner> {
-        proposals.sort_unstable_by_key(|p| (p.bin, p.tie, p.ball));
-        let mut winners = Vec::new();
-        for p in &proposals {
-            if self.alloc.load(p.bin) < threshold {
-                self.rounds_insert(p.bin, p.probe);
-                winners.push(Winner {
-                    ball: p.ball,
-                    bin: p.bin,
-                });
-            }
-        }
-        winners
-    }
-
-    /// Places one round-resolved ball into `bin`, recording the same
-    /// insert observations sequential ingestion would. A single offered
-    /// choice placed first-offered consumes no randomness.
-    /// The shard's key index is deliberately not touched — rounds mode
-    /// keeps a global index (bins are global there, not shard-local).
-    fn rounds_insert(&mut self, bin: u64, probe: u8) {
+    /// Places one round-resolved ball into shard-local `bin` (rounds
+    /// ingestion, see [`crate::rounds`]), recording the same insert
+    /// observations sequential ingestion would. Placing a single offered
+    /// choice consumes no randomness, and the shard's key index is left
+    /// alone: rounds mode keeps a global index.
+    pub(crate) fn rounds_insert(&mut self, bin: u64, probe: u8) {
         self.alloc.place_first_offered(&[bin]);
         self.observed.insert_load.record(self.alloc.load(bin));
         self.observed.insert_probe.record(u32::from(probe));

@@ -18,10 +18,11 @@
 //! #            must be a power of two — the same `EngineConfig`
 //! #            validation that guards direct engine construction
 //! #            rejects anything else here too)
-//! # rounds: resolve each batch's inserts in synchronized propose/resolve
-//! #         rounds over the global bin space; placement becomes a pure
-//! #         function of (batch contents, seed), independent of op order,
-//! #         worker mode, and shard count
+//! # rounds: resolve each batch's inserts in synchronized propose/accept
+//! #         rounds over the global bin space, on the calling thread (no
+//! #         shard workers); placement becomes a pure function of (batch
+//! #         contents, seed), independent of op order and shard count, at
+//! #         tens to hundreds of rounds per batch
 //! # metrics: stream live windowed unit-of-work metrics (batch latency,
 //! #          queue occupancy, backpressure stalls) as
 //! #          JSON lines to stderr, or append them to PATH with
@@ -112,7 +113,7 @@ fn main() {
         }
         None => ChoiceMode::Stream,
     };
-    // A `rounds` token selects round-based bulk-parallel ingestion; a
+    // A `rounds` token selects round-synchronized ingestion; a
     // `pipelined` or `pipelined=DEPTH` token selects pipelined
     // ingestion. The requested queue depth passes through verbatim:
     // `EngineConfig::validate` is the single contract for rejecting

@@ -1,6 +1,6 @@
 //! Rounds-mode acceptance tests over the checked-in golden corpus.
 //!
-//! Three anchors, all against the `.baops` captures under `tests/golden/`
+//! Four anchors, all against the `.baops` captures under `tests/golden/`
 //! (pinned at `(GOLDEN_KEYSPACE, GOLDEN_SEED, GOLDEN_OPS)`):
 //!
 //! 1. **Determinism** — serving a golden capture through
@@ -10,9 +10,13 @@
 //! 2. **Shard invariance** — the global bin vector is even invariant
 //!    under re-sharding at a fixed global bin total, because the rounds
 //!    resolver places into the global bin space before shard routing.
-//! 3. **Quality** — bulk-parallel resolution may not wreck the paper's
-//!    balance: per scenario, the rounds max load stays within a small
-//!    additive slack of the sequential keyed d-choice max load.
+//! 3. **Quality** — round-synchronized resolution may not wreck the
+//!    paper's balance: per scenario, the rounds max load stays within a
+//!    small additive slack of the sequential keyed d-choice max load.
+//! 4. **Placement stability** — round counts, re-proposals, max load and
+//!    a hash of the global bin vector at the pinned seed match
+//!    checked-in values, so a change that moves every rounds placement
+//!    alike still fails loudly.
 
 use balanced_allocations::engine::WorkerMode;
 use balanced_allocations::prelude::*;
@@ -195,6 +199,52 @@ fn incremental_max_load_tracker_matches_full_scan_on_golden_corpus() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn golden_rounds_snapshots_at_pinned_seed() {
+    // Placement-stability anchor for rounds ingestion: the anchors above
+    // compare rounds engines with each other, so a change that shifted
+    // every placement the same way would pass them. These absolute
+    // values were produced by this exact configuration and checked in.
+    // Columns: (scenario, rounds, max rounds per batch, summed
+    //           reproposals, max load, FNV-1a of the global bin vector).
+    const EXPECTED: &[(&str, u64, u64, u64, u32, u64)] = &[
+        ("uniform", 69, 21, 10_758, 4, 0xb1e5_85d6_4b68_b9c9),
+        ("zipf", 632, 235, 36_834, 45, 0xdeee_984f_8f35_7325),
+        ("bursty", 181, 61, 25_490, 11, 0x1317_2e33_f597_9045),
+        ("churn", 46, 13, 3_033, 3, 0xbe5b_b7f0_bd2c_00c0),
+        ("adversarial", 46, 13, 2_851, 3, 0x7663_6e3d_4461_ddd4),
+    ];
+    for &(name, rounds, max_rounds, reproposals, max_load, loads_hash) in EXPECTED {
+        let scenario = Scenario::by_name(name).unwrap();
+        let file = ReplayFile::open(golden_path(&scenario)).expect("golden file decodes");
+        let mut engine = Engine::by_name(
+            "double",
+            EngineConfig::new(4, 256, 3).seed(GOLDEN_SEED).rounds(),
+        )
+        .unwrap();
+        engine.serve(file.ops(), BATCH);
+        let report = engine.take_round_report().expect("rounds mode");
+        let hash = global_loads(&engine)
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, &l| {
+                (h ^ u64::from(l)).wrapping_mul(0x0100_0000_01b3)
+            });
+        let actual = (
+            name,
+            report.rounds,
+            report.max_rounds_per_batch,
+            report.reproposals.iter().sum::<u64>(),
+            report.max_load,
+            hash,
+        );
+        assert_eq!(
+            actual,
+            (name, rounds, max_rounds, reproposals, max_load, loads_hash),
+            "{name}: pinned rounds snapshot drifted"
+        );
     }
 }
 
