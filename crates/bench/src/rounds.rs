@@ -2,15 +2,16 @@
 //! ([`ba_engine::IngestMode::Rounds`]) vs sequential d-choice, across the full
 //! scenario × scheme grid.
 //!
-//! For each cell it serves one op stream twice — through a sequential
-//! keyed engine (the paper's per-ball process) and through a rounds
-//! engine over the same global bin space — and records both max loads,
-//! both serve rates, and the round resolver's shape: rounds per batch
-//! and total re-proposals. With double hashing a 1,024-op batch takes
-//! about 17 rounds on uniform traffic, 131 on zipf, 41 on bursty and 11
-//! on churn. The `identical` column asserts the mode's determinism
-//! contract per row: a second rounds engine, fed a per-batch-permuted
-//! copy of the stream, must land every ball in the same global bin.
+//! For each cell it serves one op stream through a sequential keyed
+//! engine (the paper's per-ball process) and through a rounds engine
+//! over the same global bin space, on `--trials` fresh pairs of engines,
+//! and records both max loads, the median of each serve rate, and the
+//! round resolver's shape: rounds per batch and total re-proposals.
+//! With double hashing a 1,024-op batch takes about 17 rounds on uniform
+//! traffic, 131 on zipf, 41 on bursty and 11 on churn. The `identical`
+//! column asserts the mode's determinism contract per row: a second
+//! rounds engine, fed a per-batch-permuted copy of the stream, must land
+//! every ball in the same global bin.
 
 use crate::Opts;
 use ba_engine::{Engine, EngineConfig, Op};
@@ -36,10 +37,17 @@ fn d_for(scheme: &str) -> usize {
     }
 }
 
-/// Builds one engine of the experiment's shape for `scheme`.
+/// Builds one sequential keyed engine of the experiment's shape for
+/// `scheme`.
 fn build(scheme: &str, opts: &Opts, bins_per_shard: u64) -> Engine<ba_hash::AnyScheme> {
     let config = EngineConfig::new(SHARDS, bins_per_shard, d_for(scheme)).seed(opts.seed);
     Engine::by_name(scheme, config.keyed().sequential()).expect("known scheme")
+}
+
+/// Builds one rounds engine over the same global bin space as [`build`].
+fn rounds_engine(scheme: &str, opts: &Opts, bins_per_shard: u64) -> Engine<ba_hash::AnyScheme> {
+    let config = EngineConfig::new(SHARDS, bins_per_shard, d_for(scheme)).seed(opts.seed);
+    Engine::by_name(scheme, config.rounds()).expect("known scheme")
 }
 
 /// The global per-bin load vector — shard layout flattened away, which
@@ -74,9 +82,10 @@ pub fn rounds(opts: &Opts) -> String {
         "Round-synchronized allocation vs sequential d-choice: \
          {SHARDS} shards x {bins_per_shard} bins, d = {D}, {total_ops} ops per cell, \
          batches of {batch}, seed {}\n\
-         (identical column: a second rounds engine served a per-batch-permuted \
+         (Mops/s columns: median of {} trials, each on fresh engines; \
+         identical column: a second rounds engine served a per-batch-permuted \
          stream and landed every ball in the same global bin)\n\n",
-        opts.seed
+        opts.seed, opts.trials
     );
     for scenario in Scenario::all() {
         let mut ops = Vec::with_capacity(total_ops);
@@ -99,37 +108,35 @@ pub fn rounds(opts: &Opts) -> String {
             "identical",
         ]);
         for &scheme in ba_hash::AnyScheme::names() {
-            let mut sequential = build(scheme, opts, bins_per_shard);
-            let t0 = Instant::now();
-            sequential.serve(&ops, batch);
-            let seq_elapsed = t0.elapsed();
+            // Each trial serves the stream on fresh engines; the rate
+            // columns print the median, every other column reads the
+            // first trial's engines.
+            let (mut seq_rates, mut rounds_rates) = (Vec::new(), Vec::new());
+            let mut first = None;
+            for _ in 0..opts.trials {
+                let mut sequential = build(scheme, opts, bins_per_shard);
+                let t0 = Instant::now();
+                sequential.serve(&ops, batch);
+                seq_rates.push(ops.len() as f64 / t0.elapsed().as_secs_f64());
 
-            let mut bulk = Engine::by_name(
-                scheme,
-                EngineConfig::new(SHARDS, bins_per_shard, d_for(scheme))
-                    .seed(opts.seed)
-                    .rounds(),
-            )
-            .expect("known scheme");
-            let t0 = Instant::now();
-            bulk.serve(&ops, batch);
-            let rounds_elapsed = t0.elapsed();
+                let mut bulk = rounds_engine(scheme, opts, bins_per_shard);
+                let t0 = Instant::now();
+                bulk.serve(&ops, batch);
+                rounds_rates.push(ops.len() as f64 / t0.elapsed().as_secs_f64());
+                first.get_or_insert((sequential, bulk));
+            }
+            let (sequential, mut bulk) = first.expect("--trials is positive");
             let report = bulk.take_round_report().expect("rounds mode");
 
             // Determinism: permuted batches — same global bin vector.
-            let mut twin = Engine::by_name(
-                scheme,
-                EngineConfig::new(SHARDS, bins_per_shard, d_for(scheme))
-                    .seed(opts.seed)
-                    .rounds(),
-            )
-            .expect("known scheme");
+            let mut twin = rounds_engine(scheme, opts, bins_per_shard);
             twin.serve(&permuted, batch);
             let identical =
                 global_loads(&bulk) == global_loads(&twin) && bulk.stats().matches(&twin.stats());
 
-            let rate = |elapsed: std::time::Duration| {
-                format!("{:.2}", ops.len() as f64 / elapsed.as_secs_f64() / 1e6)
+            let median = |rates: &mut [f64]| {
+                rates.sort_by(f64::total_cmp);
+                format!("{:.2}", rates[rates.len() / 2] / 1e6)
             };
             table.row_owned(vec![
                 scheme.to_string(),
@@ -137,8 +144,8 @@ pub fn rounds(opts: &Opts) -> String {
                 report.max_load.to_string(),
                 format!("{:.1}", report.rounds as f64 / report.batches.max(1) as f64),
                 report.reproposals.iter().sum::<u64>().to_string(),
-                rate(seq_elapsed),
-                rate(rounds_elapsed),
+                median(&mut seq_rates),
+                median(&mut rounds_rates),
                 identical.to_string(),
             ]);
         }
