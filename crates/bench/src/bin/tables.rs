@@ -4,20 +4,15 @@
 //! tables <experiment>... [--trials N] [--seed S] [--threads T] [--full]
 //! tables all [--trials N]
 //! tables list
-//! tables gate <baseline.json> <candidate.json>
 //! ```
 
-use ba_bench::{experiment, gate, run_all, Opts, EXPERIMENTS};
+use ba_bench::{experiment, run_all, Opts, EXPERIMENTS};
 use std::process::ExitCode;
-
-/// Allowed fractional throughput drop before the perf gate fails.
-const GATE_TOLERANCE: f64 = 0.20;
 
 fn usage() -> String {
     let names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
     format!(
         "usage: tables <experiment>... [--trials N] [--seed S] [--threads T] [--full]\n\
-         \x20      tables gate <baseline.json> <candidate.json>\n\
          \n\
          experiments: all, list, {}\n\
          \n\
@@ -26,11 +21,9 @@ fn usage() -> String {
          --threads T  worker threads (default: all cores)\n\
          --full       paper-scale sizes for table8 (n=2^14, 10^4 s horizon)\n\
          \n\
-         gate compares two BENCH_pipeline.json or BENCH_hotpath.json files and\n\
-         fails if any candidate cell is >{:.0}% slower than its baseline,\n\
-         missing, extra, or no longer bit-identical.",
-        names.join(", "),
-        GATE_TOLERANCE * 100.0
+         engine throughput, latency and balance: the perfbench package\n\
+         (perfbench/README.md).",
+        names.join(", ")
     )
 }
 
@@ -46,26 +39,6 @@ fn main() -> ExitCode {
     if names.is_empty() {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
-    }
-    if names[0] == "gate" {
-        let [_, baseline, candidate] = names.as_slice() else {
-            eprintln!(
-                "error: gate takes exactly two file arguments\n\n{}",
-                usage()
-            );
-            return ExitCode::FAILURE;
-        };
-        return match gate::gate_files(baseline.as_ref(), candidate.as_ref(), GATE_TOLERANCE) {
-            Ok(report) => {
-                print!("{report}");
-                println!("perf gate: OK (tolerance {:.0}%)", GATE_TOLERANCE * 100.0);
-                ExitCode::SUCCESS
-            }
-            Err(violations) => {
-                eprintln!("perf gate FAILED:\n{violations}");
-                ExitCode::FAILURE
-            }
-        };
     }
     for name in &names {
         match name.as_str() {

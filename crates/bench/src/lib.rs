@@ -22,10 +22,7 @@ pub mod ablations;
 pub mod cluster;
 pub mod engine;
 pub mod extensions;
-pub mod gate;
-pub mod hotpath;
 pub mod opts;
-pub mod pipeline;
 pub mod replay;
 pub mod rounds;
 pub mod tables;
@@ -62,10 +59,8 @@ pub const EXPERIMENTS: &[(&str, ExperimentFn)] = &[
     ("churn", ablations::churn),
     ("engine", engine::engine),
     ("replay", replay::replay),
-    ("pipeline", pipeline::pipeline),
     ("cluster", cluster::cluster),
     ("rounds", rounds::rounds),
-    ("hotpath", hotpath::hotpath),
 ];
 
 /// Looks up an experiment by name.

@@ -51,8 +51,10 @@
 //!   function of *(batch contents as a multiset, seed)* — independent of
 //!   op order, worker mode, and shard count — and each batch yields a
 //!   [`RoundReport`] (rounds taken, re-proposals per round, max load).
-//!   Batches take tens to hundreds of rounds, so rounds mode serves
-//!   several times slower than sequential d-choice.
+//!   Batches take tens to hundreds of rounds, but rounds that place
+//!   no ball are skipped in closed form: on `tables rounds` rounds mode
+//!   serves at 1.1–1.6× the cost of sequential d-choice, and perfbench's
+//!   `zipf-rounds` runs ~2.3× below `zipf-phased` on the same stream.
 //! * **Replay** — [`Engine::serve_replay`] ingests an op *iterator* in
 //!   batch-sized chunks, so captured workload files (the `ba-workload`
 //!   replay module's `.baops` format) replay at live-serving memory cost,

@@ -356,7 +356,7 @@ mod tests {
     use super::*;
     use crate::engine::EngineConfig;
     use ba_core::{run_process, run_process_keys};
-    use ba_hash::DoubleHashing;
+    use ba_hash::{AnyScheme, DoubleHashing};
     use ba_rng::RngKind;
 
     fn config(seed: u64) -> EngineConfig {
@@ -544,8 +544,45 @@ mod tests {
         // The batched keyed insert path (runs > INSERT_RUN_CHUNK, runs
         // broken by deletes/lookups, short tails) must match per-op
         // inserts exactly: placements, index, counters, observations.
-        let mut batched = keyed_shard(21);
-        let mut reference = keyed_shard(21);
+        // Inputs: double hashing at d = 3, then every named scheme at
+        // d = 4 (`one` at d = 1), whose batch kernels differ.
+        fn check<S: ChoiceScheme>(
+            label: &str,
+            mut batched: Shard<S>,
+            mut reference: Shard<S>,
+            ops: &[Op],
+        ) {
+            let summary = batched.apply(ops);
+            for &op in ops {
+                match op {
+                    Op::Insert(k) => {
+                        reference.insert(k);
+                    }
+                    Op::Delete(k) => {
+                        reference.delete(k);
+                    }
+                    Op::Lookup(k) => {
+                        reference.lookup(k);
+                    }
+                }
+            }
+            assert_eq!(summary, *reference.lifetime_summary(), "{label}");
+            assert_eq!(
+                batched.allocation().loads(),
+                reference.allocation().loads(),
+                "{label}"
+            );
+            assert_eq!(batched.live_key_ids(), reference.live_key_ids(), "{label}");
+            assert_eq!(batched.observations(), reference.observations(), "{label}");
+            // And the O(1) tracker still agrees with a full scan after the
+            // batched churn.
+            assert_eq!(
+                batched.allocation().max_load(),
+                batched.allocation().scanned_max_load(),
+                "{label}"
+            );
+        }
+
         let mut ops = Vec::new();
         for key in 0..300u64 {
             ops.push(Op::Insert(key));
@@ -557,36 +594,15 @@ mod tests {
         }
         ops.push(Op::Delete(11));
         ops.push(Op::Insert(7));
-        let summary = batched.apply(&ops);
-        for &op in &ops {
-            match op {
-                Op::Insert(k) => {
-                    reference.insert(k);
-                }
-                Op::Delete(k) => {
-                    reference.delete(k);
-                }
-                Op::Lookup(k) => {
-                    reference.lookup(k);
-                }
-            }
+        check("double, d = 3", keyed_shard(21), keyed_shard(21), &ops);
+        for &name in AnyScheme::names() {
+            let d = if name == "one" { 1 } else { 4 };
+            let shard = || {
+                let scheme = AnyScheme::by_name(name, 64, d).expect("listed scheme parses");
+                Shard::new(0, scheme, &config(21).keyed())
+            };
+            check(name, shard(), shard(), &ops);
         }
-        assert_eq!(summary, *reference.lifetime_summary());
-        assert_eq!(batched.allocation().loads(), reference.allocation().loads());
-        assert_eq!(batched.live_key_ids(), reference.live_key_ids());
-        let (b, r) = (batched.observations(), reference.observations());
-        assert_eq!(b.insert_load.count(), r.insert_load.count());
-        assert_eq!(b.insert_probe.count(), r.insert_probe.count());
-        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(b.insert_load.percentile(q), r.insert_load.percentile(q));
-            assert_eq!(b.insert_probe.percentile(q), r.insert_probe.percentile(q));
-        }
-        // And the O(1) tracker still agrees with a full scan after the
-        // batched churn.
-        assert_eq!(
-            batched.allocation().max_load(),
-            batched.allocation().scanned_max_load()
-        );
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   [`WindowSummary`]s whose latency/size/occupancy distributions are
 //!   bounded-memory [`HistogramSketch`]es — mergeable across processes;
 //! * [`JsonLinesExporter`] streams one EMF-style JSON line per closed
-//!   window to any writer (stderr, a file), sharing `ba_stats::json`'s
-//!   escaping/formatting path with the bench trajectory files.
+//!   window to any writer (stderr, a file), rendered with
+//!   `ba_stats::json`'s builder.
 //!
 //! Sinks only *observe*: no sink ever consumes engine RNG or reorders
 //! ops, so attaching one leaves allocation results bit-identical (a

@@ -1,13 +1,9 @@
-//! Minimal JSON serialization shared by the bench trajectory files and
-//! the engine's metrics exporter.
+//! Minimal JSON serialization for the engine's metrics exporter.
 //!
-//! The workspace takes no serialization dependency, and two subsystems
-//! emit machine-read JSON: `ba-bench`'s `BENCH_*.json` perf-trajectory
-//! documents and `ba-engine`'s JSON-lines metrics exporter. Hand-rolling
-//! both invites the two escaping/formatting paths to drift, so this
-//! module is the single writer they share: a tiny order-preserving
-//! [`JsonObject`] builder plus the [`escape_json`]/[`f64_token`]
-//! primitives it is built from.
+//! The workspace takes no serialization dependency, so `ba-engine`'s
+//! JSON-lines metrics exporter renders its lines with this module: a
+//! tiny order-preserving [`JsonObject`] builder plus the
+//! [`escape_json`]/[`f64_token`] primitives it is built from.
 
 use std::fmt::Write as _;
 
@@ -56,11 +52,11 @@ pub fn f64_token(value: f64) -> String {
 /// use ba_stats::json::JsonObject;
 ///
 /// let line = JsonObject::new()
-///     .field_str("scenario", "zipf")
 ///     .field_u64("ops", 1024)
-///     .field_bool("identical", true)
+///     .field_f64("mean", 2.5)
+///     .field_raw("occupancy", "null")
 ///     .finish();
-/// assert_eq!(line, r#"{"scenario": "zipf", "ops": 1024, "identical": true}"#);
+/// assert_eq!(line, r#"{"ops": 1024, "mean": 2.5, "occupancy": null}"#);
 /// ```
 #[derive(Debug, Clone)]
 pub struct JsonObject {
@@ -85,22 +81,8 @@ impl JsonObject {
         let _ = write!(self.buf, "\"{}\": ", escape_json(key));
     }
 
-    /// Appends a string field (value escaped and quoted).
-    pub fn field_str(mut self, key: &str, value: &str) -> Self {
-        self.key(key);
-        let _ = write!(self.buf, "\"{}\"", escape_json(value));
-        self
-    }
-
     /// Appends an unsigned integer field.
     pub fn field_u64(mut self, key: &str, value: u64) -> Self {
-        self.key(key);
-        let _ = write!(self.buf, "{value}");
-        self
-    }
-
-    /// Appends a signed integer field.
-    pub fn field_i64(mut self, key: &str, value: i64) -> Self {
         self.key(key);
         let _ = write!(self.buf, "{value}");
         self
@@ -111,13 +93,6 @@ impl JsonObject {
     pub fn field_f64(mut self, key: &str, value: f64) -> Self {
         self.key(key);
         self.buf.push_str(&f64_token(value));
-        self
-    }
-
-    /// Appends a boolean field.
-    pub fn field_bool(mut self, key: &str, value: bool) -> Self {
-        self.key(key);
-        self.buf.push_str(if value { "true" } else { "false" });
         self
     }
 
@@ -168,15 +143,14 @@ mod tests {
     fn object_builder_preserves_order_and_nests() {
         let inner = JsonObject::new().field_u64("n", 3).finish();
         let outer = JsonObject::new()
-            .field_str("name", "x")
+            .field_u64("window", 7)
             .field_f64("rate", 2.5)
-            .field_i64("delta", -4)
             .field_raw("stats", &inner)
             .field_raw("depth", "null")
             .finish();
         assert_eq!(
             outer,
-            r#"{"name": "x", "rate": 2.5, "delta": -4, "stats": {"n": 3}, "depth": null}"#
+            r#"{"window": 7, "rate": 2.5, "stats": {"n": 3}, "depth": null}"#
         );
     }
 

@@ -20,8 +20,8 @@
 //! * [`HistogramSketch`] — a mergeable bounded-memory quantile summary
 //!   over configurable bin edges, with percentile error bounded by one
 //!   bin width;
-//! * [`json`] — the minimal JSON writer shared by the bench trajectory
-//!   files and the engine's metrics exporter.
+//! * [`json`] — the minimal JSON writer behind the engine's metrics
+//!   exporter.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
