@@ -14,22 +14,37 @@
 //!   and is exactly right for keys that are already uniform `u64`s. The
 //!   seed keeps the table's probe order deterministic per shard while
 //!   still decorrelating it from the raw key values.
+//! * **Single-ball keys live in their slot** — a key holding one ball
+//!   stores that bin in its 16-byte probe slot and owns no arena entry,
+//!   so creating, finding or deleting it touches only its probe run,
+//!   usually one cache line. Only a key with two or more balls (or a
+//!   lone bin with the top bit set, which the slot reserves as a tag)
+//!   takes a stack entry in the *arena*, and a stack popped back to one
+//!   slot-sized bin moves it into the slot and frees the entry.
 //! * **Inline small-stacks** — up to [`INLINE_BINS`] bins live directly
-//!   in the key's arena entry; only deeper stacks spill to a heap
-//!   `Vec`, and a spilled stack shrinks back inline when deletes bring
-//!   it down again. Insert-then-delete churn at realistic depths never
+//!   in a key's arena entry; only deeper stacks spill to a heap `Vec`,
+//!   and a spilled stack shrinks back inline when deletes bring it down
+//!   again. Insert-then-delete churn at realistic depths never
 //!   allocates.
 //!
 //! The table is open-addressed with linear probing and backward-shift
 //! deletion (no tombstones), growing at 5/8 occupancy. Storage is a
 //! dense probe array of 16-byte slots (four per cache line — a probe
-//! run usually stays inside one line) pointing into a stable stack
-//! *arena*, reached exactly once per operation. Growth rebuilds only
-//! the slots; stacks never move. Enumeration order
-//! of a hash table is an implementation detail, so the deterministic
-//! surface the engine exposes ([`Shard::live_key_ids`](crate::Shard::live_key_ids),
-//! cluster drains, placement maps) always goes through [`KeyIndex::sorted_keys`],
-//! which sorts ascending exactly like the `HashMap` predecessor did.
+//! run usually stays inside one line) plus the stable stack arena that
+//! stacked slots point into. Growth rebuilds only the slots; stacks
+//! never move. Enumeration order of a hash table is an implementation
+//! detail, so the deterministic surface the engine exposes
+//! ([`Shard::live_key_ids`](crate::Shard::live_key_ids), cluster drains,
+//! placement maps) always goes through [`KeyIndex::sorted_keys`], which
+//! sorts ascending exactly like the `HashMap` predecessor did.
+//!
+//! Once the index outgrows the last-level cache, a fresh key's home slot
+//! is a DRAM miss. `KeyIndex::warm` loads the home slots of a chunk of
+//! keys about to be pushed: the loads do not depend on one another, so
+//! the core keeps many of them in flight at once, and the pushes that
+//! follow find their lines cached instead of paying one miss each in
+//! turn. A plain load serves where a prefetch instruction would need
+//! `unsafe`, which this crate forbids.
 
 use ba_rng::SplitMix64;
 
@@ -37,8 +52,30 @@ use ba_rng::SplitMix64;
 /// the heap. Six fills a stack entry out to exactly one cache line and
 /// comfortably covers the bench convention's mean key depth
 /// (`total_ops = 4 × keyspace`): under a Poisson(4) depth profile only
-/// ~11% of keys ever touch the heap.
+/// ~11% of keys ever touch the heap. Single-ball keys hold no arena
+/// entry at all (see [`KeyIndex`]).
 pub const INLINE_BINS: usize = 6;
+
+/// Top bit of a slot's value: set, the low bits index the key's arena
+/// [`Stack`]; clear, the value is the key's single bin.
+const STACKED: u64 = 1 << 63;
+
+/// The value of an unoccupied slot. It has the [`STACKED`] bit set, and
+/// [`stacked`] never builds it, so it names neither a bin nor a stack.
+const EMPTY: u64 = u64::MAX;
+
+/// The slot value pointing at arena entry `idx`.
+fn stacked(idx: usize) -> u64 {
+    match u64::try_from(idx) {
+        Ok(idx) if idx < EMPTY & !STACKED => STACKED | idx,
+        _ => panic!("arena index {idx} does not fit below the STACKED tag"),
+    }
+}
+
+/// The arena index a [`STACKED`] slot value points at.
+fn arena_index(val: u64) -> usize {
+    usize::try_from(val & !STACKED).expect("arena indexes are built from usize by `stacked`")
+}
 
 /// A key's LIFO stack of bins: inline up to [`INLINE_BINS`] deep, heap
 /// beyond that, shrinking back inline when it fits again.
@@ -50,8 +87,8 @@ pub const INLINE_BINS: usize = 6;
 #[derive(Debug, Clone)]
 #[repr(align(64))]
 enum Stack {
-    /// `len` live bins stored in-slot (`len >= 1`; empty stacks are
-    /// removed from the table, never stored).
+    /// `len` live bins stored in the entry itself (`len >= 1`; empty
+    /// stacks are freed, never read).
     Inline { len: u8, bins: [u64; INLINE_BINS] },
     /// The deep case: more than [`INLINE_BINS`] live bins.
     Spilled(Vec<u64>),
@@ -61,16 +98,18 @@ enum Stack {
 const _: () = assert!(std::mem::size_of::<Stack>() == 64);
 
 impl Stack {
-    fn one(bin: u64) -> Self {
+    /// An inline stack holding `from` (at most [`INLINE_BINS`] bins).
+    fn inline(from: &[u64]) -> Self {
         let mut bins = [0; INLINE_BINS];
-        bins[0] = bin;
-        Stack::Inline { len: 1, bins }
+        bins[..from.len()].copy_from_slice(from);
+        let len = u8::try_from(from.len()).expect("inline stacks hold at most INLINE_BINS bins");
+        Stack::Inline { len, bins }
     }
 
     fn push(&mut self, bin: u64) {
         match self {
             Stack::Inline { len, bins } => {
-                let n = *len as usize;
+                let n = usize::from(*len);
                 if n < INLINE_BINS {
                     bins[n] = bin;
                     *len += 1;
@@ -85,84 +124,78 @@ impl Stack {
         }
     }
 
-    /// Pops the most recent bin. Returns `(bin, now_empty)`; the caller
-    /// removes the entry when the stack empties.
-    fn pop(&mut self) -> (u64, bool) {
+    /// Pops the most recent bin; the caller frees or moves what is left
+    /// once it is down to one bin or none.
+    fn pop(&mut self) -> u64 {
         match self {
             Stack::Inline { len, bins } => {
                 *len -= 1;
-                (bins[*len as usize], *len == 0)
+                bins[usize::from(*len)]
             }
             Stack::Spilled(heap) => {
                 let bin = heap.pop().expect("spilled stacks hold > INLINE_BINS bins");
                 if heap.len() <= INLINE_BINS {
-                    let mut bins = [0u64; INLINE_BINS];
-                    bins[..heap.len()].copy_from_slice(heap);
-                    *self = Stack::Inline {
-                        len: heap.len() as u8,
-                        bins,
-                    };
+                    *self = Stack::inline(heap);
                 }
-                (bin, false)
+                bin
             }
         }
     }
 
     fn as_slice(&self) -> &[u64] {
         match self {
-            Stack::Inline { len, bins } => &bins[..*len as usize],
+            Stack::Inline { len, bins } => &bins[..usize::from(*len)],
             Stack::Spilled(bins) => bins,
         }
     }
 }
 
-impl Default for Stack {
-    /// Placeholder for unoccupied slots in the parallel stack array;
-    /// never observed through the public API.
-    fn default() -> Self {
-        Stack::Inline {
-            len: 0,
-            bins: [0; INLINE_BINS],
-        }
-    }
-}
-
-/// One probe-array slot: the key, its live flag, and the index of its
-/// stack in the arena — 16 bytes, so a cache line covers four slots and
-/// a probe run usually stays inside one line.
-#[derive(Debug, Clone, Copy, Default)]
+/// One probe-array slot — 16 bytes, so a cache line covers four slots
+/// and a probe run usually stays inside one line.
+#[derive(Debug, Clone, Copy)]
 struct Slot {
     key: u64,
-    /// Arena index of this key's stack (meaningful only while live).
-    /// `u32` keeps the slot at 16 bytes; four billion simultaneously
-    /// live keys per shard is far beyond any configuration here.
-    stack: u32,
-    live: bool,
+    /// The key's single bin (top bit clear), [`STACKED`] `|` the arena
+    /// index of its stack, or [`EMPTY`] while the slot is unoccupied.
+    val: u64,
+}
+
+impl Slot {
+    const VACANT: Slot = Slot { key: 0, val: EMPTY };
+
+    #[inline]
+    fn is_live(self) -> bool {
+        self.val != EMPTY
+    }
 }
 
 /// An open-addressed `u64 → bin-stack` map tuned for the shard hot path:
 /// multiply-mix hashing, linear probing with backward-shift deletion,
-/// and inline storage for stacks up to [`INLINE_BINS`] deep. See the
-/// [module docs](self) for why it replaces `HashMap<u64, Vec<u64>>`.
+/// single-ball keys stored in their slot, and inline storage for stacks
+/// up to [`INLINE_BINS`] deep. See the [module docs](self) for why it
+/// replaces `HashMap<u64, Vec<u64>>`.
 ///
-/// Storage is a dense probe array of 16-byte slots plus a stack *arena* the
-/// slots point into. Growth rebuilds only the 16-byte slots under the
-/// new mask; the wide stacks never move (their arena positions are
-/// stable for a key's whole life, and freed positions recycle through a
-/// free list), so rehashing costs bytes proportional to the probe
-/// array, not to the stacks.
+/// Storage is a dense probe array of 16-byte slots plus a stack *arena*.
+/// A key with one ball keeps its bin in its slot and holds no arena
+/// entry, so a key that is pushed once and popped once never leaves the
+/// probe array. A key with more balls points its slot at an arena
+/// stack. Growth rebuilds only the 16-byte slots under the new mask;
+/// the wide stacks never move (a stack keeps its arena position until
+/// its key drops back to one ball or none, and freed positions recycle
+/// through a free list), so rehashing costs bytes proportional to the
+/// probe array, not to the stacks.
 #[derive(Debug, Clone)]
 pub struct KeyIndex {
     /// Mixed into every hash; makes probe order deterministic per owner
     /// (shards pass their salt) without being a function of raw keys.
     seed: u64,
-    /// Power-of-two probe array; a dead slot terminates probe runs.
+    /// Power-of-two probe array; a vacant slot terminates probe runs.
     slots: Vec<Slot>,
-    /// Stack arena; live slots point into it, free positions are listed
-    /// in `free`.
+    /// Stack arena; stacked slots point into it, free positions are
+    /// listed in `free`.
     stacks: Vec<Stack>,
-    /// Arena positions whose keys were removed, ready for reuse.
-    free: Vec<u32>,
+    /// Arena positions no key points at, ready for reuse.
+    free: Vec<usize>,
     /// `slots.len() - 1`, cached for masking (0 while unallocated).
     mask: usize,
     /// Live keys (occupied slots).
@@ -212,7 +245,7 @@ impl KeyIndex {
         let mut i = self.home(key);
         loop {
             let slot = self.slots[i];
-            if !slot.live {
+            if !slot.is_live() {
                 return None;
             }
             if slot.key == key {
@@ -222,19 +255,28 @@ impl KeyIndex {
         }
     }
 
-    /// Inserts `(key, arena index)` into a table guaranteed to have a
-    /// free slot.
+    /// Loads the home slot of each of `keys`, so the cache misses of the
+    /// pushes that follow are in flight together rather than one per
+    /// push (see the [module docs](self)).
+    pub(crate) fn warm(&self, keys: &[u64]) {
+        if self.slots.is_empty() {
+            return;
+        }
+        let folded = keys
+            .iter()
+            .fold(0u64, |acc, &key| acc ^ self.slots[self.home(key)].key);
+        std::hint::black_box(folded);
+    }
+
+    /// Inserts `(key, val)` into a table guaranteed to have a vacant
+    /// slot.
     #[inline]
-    fn insert_entry(&mut self, key: u64, stack: u32) {
+    fn insert_entry(&mut self, key: u64, val: u64) {
         let mut i = self.home(key);
-        while self.slots[i].live {
+        while self.slots[i].is_live() {
             i = (i + 1) & self.mask;
         }
-        self.slots[i] = Slot {
-            key,
-            stack,
-            live: true,
-        };
+        self.slots[i] = Slot { key, val };
         self.len += 1;
     }
 
@@ -247,21 +289,42 @@ impl KeyIndex {
         } else {
             self.slots.len() * 2
         };
-        let old_slots = std::mem::replace(&mut self.slots, vec![Slot::default(); capacity]);
+        let old_slots = std::mem::replace(&mut self.slots, vec![Slot::VACANT; capacity]);
         self.mask = capacity - 1;
         self.len = 0;
         for slot in old_slots {
-            if slot.live {
-                self.insert_entry(slot.key, slot.stack);
+            if slot.is_live() {
+                self.insert_entry(slot.key, slot.val);
             }
         }
+    }
+
+    /// Stores `bins` in an arena entry (recycling a freed one first) and
+    /// returns the slot value pointing at it.
+    fn new_stack(&mut self, bins: &[u64]) -> u64 {
+        let stack = Stack::inline(bins);
+        let idx = match self.free.pop() {
+            Some(idx) => {
+                self.stacks[idx] = stack;
+                idx
+            }
+            None => {
+                self.stacks.push(stack);
+                self.stacks.len() - 1
+            }
+        };
+        stacked(idx)
     }
 
     /// Pushes `bin` onto `key`'s stack (creating the key if new).
     pub fn push(&mut self, key: u64, bin: u64) {
         if let Some(i) = self.find(key) {
-            let idx = self.slots[i].stack as usize;
-            self.stacks[idx].push(bin);
+            let val = self.slots[i].val;
+            if val & STACKED == 0 {
+                self.slots[i].val = self.new_stack(&[val, bin]);
+            } else {
+                self.stacks[arena_index(val)].push(bin);
+            }
             return;
         }
         // Grow at 5/8 occupancy: plain (non-SIMD) linear probing
@@ -272,32 +335,34 @@ impl KeyIndex {
         if (self.len + 1) * 8 > self.slots.len() * 5 {
             self.grow();
         }
-        let idx = match self.free.pop() {
-            Some(idx) => {
-                self.stacks[idx as usize] = Stack::one(bin);
-                idx
-            }
-            None => {
-                self.stacks.push(Stack::one(bin));
-                (self.stacks.len() - 1) as u32
-            }
+        let val = if bin & STACKED == 0 {
+            bin
+        } else {
+            self.new_stack(&[bin])
         };
-        self.insert_entry(key, idx);
+        self.insert_entry(key, val);
     }
 
     /// Pops the most recent bin for `key`; removes the key when its last
     /// ball goes. Returns `None` for a key with no live balls.
     pub fn pop(&mut self, key: u64) -> Option<u64> {
         let i = self.find(key)?;
-        let idx = self.slots[i].stack;
-        let (bin, now_empty) = self.stacks[idx as usize].pop();
-        if now_empty {
-            // An emptied stack is already inline (spills shrink back
-            // before emptying), so recycling the position needs no
-            // cleanup — `Stack::one` overwrites it on reuse.
-            self.free.push(idx);
+        let val = self.slots[i].val;
+        if val & STACKED == 0 {
             self.remove_at(i);
+            return Some(val);
         }
+        let idx = arena_index(val);
+        let stack = &mut self.stacks[idx];
+        let bin = stack.pop();
+        // A stack down to no bins, or to one bin that fits the slot,
+        // gives its arena entry back.
+        match *stack.as_slice() {
+            [] => self.remove_at(i),
+            [last] if last & STACKED == 0 => self.slots[i].val = last,
+            _ => return Some(bin),
+        }
+        self.free.push(idx);
         Some(bin)
     }
 
@@ -305,13 +370,13 @@ impl KeyIndex {
     /// the probe run that follows so lookups never need tombstones.
     /// Only the 16-byte slots move; arena positions are stable.
     fn remove_at(&mut self, mut hole: usize) {
-        self.slots[hole].live = false;
+        self.slots[hole] = Slot::VACANT;
         self.len -= 1;
         let mut i = hole;
         loop {
             i = (i + 1) & self.mask;
             let slot = self.slots[i];
-            if !slot.live {
+            if !slot.is_live() {
                 return;
             }
             let home = self.home(slot.key);
@@ -322,7 +387,7 @@ impl KeyIndex {
             let hole_distance = i.wrapping_sub(hole) & self.mask;
             if entry_distance >= hole_distance {
                 self.slots[hole] = slot;
-                self.slots[i].live = false;
+                self.slots[i] = Slot::VACANT;
                 hole = i;
             }
         }
@@ -330,8 +395,12 @@ impl KeyIndex {
 
     /// The bins currently holding balls for `key`, oldest first.
     pub fn get(&self, key: u64) -> Option<&[u64]> {
-        self.find(key)
-            .map(|i| self.stacks[self.slots[i].stack as usize].as_slice())
+        let slot = &self.slots[self.find(key)?];
+        Some(if slot.val & STACKED == 0 {
+            std::slice::from_ref(&slot.val)
+        } else {
+            self.stacks[arena_index(slot.val)].as_slice()
+        })
     }
 
     /// Number of live balls for `key` (0 when absent).
@@ -347,7 +416,7 @@ impl KeyIndex {
         let mut keys: Vec<u64> = self
             .slots
             .iter()
-            .filter(|slot| slot.live)
+            .filter(|slot| slot.is_live())
             .map(|slot| slot.key)
             .collect();
         keys.sort_unstable();
@@ -428,5 +497,68 @@ mod tests {
         }
         assert_eq!(a.sorted_keys(), vec![1, 3, 9, 42, 77, 500]);
         assert_eq!(a.sorted_keys(), b.sorted_keys());
+    }
+
+    #[test]
+    fn single_ball_keys_hold_no_arena_entry() {
+        let mut idx = KeyIndex::with_seed(5);
+        for key in 0..1000u64 {
+            idx.push(key, key + 7);
+        }
+        assert_eq!(idx.len(), 1000);
+        assert!(idx.stacks.is_empty(), "one ball per key stays in the slots");
+        for key in 0..1000u64 {
+            assert_eq!(idx.get(key), Some(&[key + 7][..]));
+        }
+    }
+
+    #[test]
+    fn popping_to_one_ball_frees_the_arena_entry_for_reuse() {
+        let mut idx = KeyIndex::with_seed(2);
+        idx.push(1, 10);
+        idx.push(1, 11);
+        assert_eq!(idx.stacks.len(), 1);
+        assert_eq!(idx.pop(1), Some(11));
+        assert_eq!(idx.free, vec![0], "the emptied-to-one stack is freed");
+        assert_eq!(
+            idx.get(1),
+            Some(&[10][..]),
+            "its last bin moved to the slot"
+        );
+        idx.push(2, 20);
+        idx.push(2, 21);
+        assert_eq!(idx.stacks.len(), 1, "the next two-ball key reuses it");
+        assert!(idx.free.is_empty());
+        assert_eq!(idx.get(2), Some(&[20, 21][..]));
+        assert_eq!(idx.get(1), Some(&[10][..]));
+    }
+
+    #[test]
+    fn lone_bin_with_the_tag_bit_roundtrips_through_the_arena() {
+        let mut idx = KeyIndex::with_seed(9);
+        idx.push(3, STACKED - 1);
+        assert!(
+            idx.stacks.is_empty(),
+            "the largest slot-sized bin stays in the slot"
+        );
+        for bin in [STACKED, STACKED | 3, u64::MAX] {
+            idx.push(4, bin);
+            assert_eq!(idx.stacks.len(), 1, "a tag-bit bin cannot sit in a slot");
+            assert_eq!(idx.get(4), Some(&[bin][..]));
+            assert_eq!(idx.depth(4), 1);
+            assert_eq!(idx.pop(4), Some(bin));
+            assert_eq!(idx.depth(4), 0);
+            assert_eq!(idx.len(), 1);
+            assert_eq!(idx.free, vec![0]);
+        }
+        assert_eq!(idx.get(3), Some(&[STACKED - 1][..]));
+        // Popping a two-ball stack down to a tag-bit bin keeps it stacked.
+        idx.push(4, u64::MAX);
+        idx.push(4, 1);
+        assert_eq!(idx.pop(4), Some(1));
+        assert_eq!(idx.get(4), Some(&[u64::MAX][..]));
+        assert!(idx.free.is_empty());
+        assert_eq!(idx.pop(4), Some(u64::MAX));
+        assert_eq!(idx.pop(4), None);
     }
 }

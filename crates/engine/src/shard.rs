@@ -208,9 +208,12 @@ impl<S: ChoiceScheme> Shard<S> {
     /// Places a run of consecutive keyed inserts through the batched
     /// choice kernel: one [`ChoiceScheme::choices_for_batch`] dispatch
     /// per [`INSERT_RUN_CHUNK`] keys, falling back to per-op inserts
-    /// for runs under [`INSERT_RUN_MIN`]. Sound only in keyed mode,
-    /// where choice derivation consumes no RNG — placements, tie-break
-    /// draws, and observation order are bit-identical to per-op inserts.
+    /// for runs under [`INSERT_RUN_MIN`]. Each chunk's key-index slots
+    /// are loaded up front (`KeyIndex::warm`), so their cache misses
+    /// overlap instead of stalling one push at a time. Sound only in
+    /// keyed mode, where choice derivation consumes no RNG — placements,
+    /// tie-break draws, and observation order are bit-identical to
+    /// per-op inserts.
     fn insert_run_keyed(&mut self, from: &[Op]) -> usize {
         let run = from
             .iter()
@@ -235,6 +238,7 @@ impl<S: ChoiceScheme> Shard<S> {
         for chunk in keys.chunks(INSERT_RUN_CHUNK) {
             matrix.resize(chunk.len() * d, 0);
             self.scheme.choices_for_batch(chunk, self.salt, &mut matrix);
+            self.index.warm(chunk);
             for (i, &key) in chunk.iter().enumerate() {
                 self.place_and_record(key, &matrix[i * d..(i + 1) * d]);
             }
