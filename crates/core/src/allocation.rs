@@ -26,7 +26,8 @@ pub enum TieBreak {
 /// incrementally by [`Allocation::place`]/[`Allocation::remove`]. They
 /// make [`Allocation::max_load`] O(1) — a place moves one bin up a
 /// level, a remove moves one bin down, so the maximum can only step by
-/// one in either direction.
+/// one in either direction — and they are the load histogram itself
+/// ([`Allocation::histogram`]).
 #[derive(Debug, Clone)]
 pub struct Allocation {
     loads: Vec<u32>,
@@ -290,9 +291,12 @@ impl Allocation {
         self.balls -= 1;
     }
 
-    /// The load histogram of the current state.
+    /// The load histogram of the current state, copied from the occupancy
+    /// counters in O(max load). Levels above the maximum, which removes
+    /// leave at zero, are not copied, so the histogram equals
+    /// `LoadHistogram::from_loads(self.loads())`.
     pub fn histogram(&self) -> LoadHistogram {
-        LoadHistogram::from_loads(&self.loads)
+        LoadHistogram::from_counts(self.occupancy[..=self.max as usize].to_vec())
     }
 }
 
@@ -426,8 +430,8 @@ mod tests {
         let scheme = FullyRandom::new(128, 3, Replacement::Without);
         let a = run_process(&scheme, 500, TieBreak::Random, &mut rng(5));
         assert_eq!(a.balls(), 500);
-        assert_eq!(a.histogram().total_balls(), 500);
-        assert_eq!(a.histogram().total_bins(), 128);
+        assert_eq!(a.histogram().sum(), 500);
+        assert_eq!(a.histogram().total(), 128);
     }
 
     #[test]
@@ -478,7 +482,7 @@ mod tests {
         let a = run_process(&DoubleHashing::new(n, 3), m, TieBreak::Random, &mut r);
         assert_eq!(a.balls(), m);
         let hist = a.histogram();
-        assert_eq!(hist.total_balls(), m);
+        assert_eq!(hist.sum(), m);
         // Min load must be near 16 as well (two-choice processes are tight).
         assert!(a.max_load() >= 16);
         assert!(a.max_load() <= 22, "max load {}", a.max_load());
@@ -557,8 +561,9 @@ mod tests {
 
     #[test]
     fn max_load_tracker_matches_scan_through_churn() {
-        // Drive places and removes and check the O(1) tracker against
-        // the full scan at every step, including max-load drops.
+        // Drive places and removes and check the O(1) tracker and the
+        // occupancy-built histogram against full scans at every step,
+        // including max-load drops, which leave zero levels above max.
         let scheme = DoubleHashing::new(64, 3);
         let mut a = Allocation::new(64);
         let mut r = rng(21);
@@ -573,6 +578,11 @@ mod tests {
                 placed.push(a.place(&buf, TieBreak::Random, &mut r));
             }
             assert_eq!(a.max_load(), a.scanned_max_load(), "step {step}");
+            assert_eq!(
+                a.histogram(),
+                LoadHistogram::from_loads(a.loads()),
+                "step {step}"
+            );
         }
         for &bin in &placed {
             a.remove(bin);

@@ -108,7 +108,7 @@ mod tests {
         let scheme = DoubleHashing::new(n, 3);
         let alloc = run_churn_process(&scheme, n, 5 * n, TieBreak::Random, &mut rng(1));
         assert_eq!(alloc.balls(), n);
-        assert_eq!(alloc.histogram().total_balls(), n);
+        assert_eq!(alloc.histogram().sum(), n);
     }
 
     #[test]

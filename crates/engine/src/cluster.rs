@@ -176,30 +176,20 @@ pub struct ClusterConfig {
     /// lifetime; choose comfortably above the largest node count you
     /// expect so ownership can spread (32 by default).
     pub partitions: usize,
-    /// Virtual nodes per physical node on the ring
-    /// ([`NODE_VNODES`] by default).
-    pub vnodes: usize,
 }
 
 impl ClusterConfig {
-    /// A config with 32 partitions and [`NODE_VNODES`] vnodes per node.
+    /// A config with 32 partitions.
     pub fn new(engine: EngineConfig) -> Self {
         Self {
             engine,
             partitions: 32,
-            vnodes: NODE_VNODES,
         }
     }
 
     /// Sets the fixed partition count.
     pub fn partitions(mut self, partitions: usize) -> Self {
         self.partitions = partitions;
-        self
-    }
-
-    /// Sets the vnodes-per-node count.
-    pub fn vnodes(mut self, vnodes: usize) -> Self {
-        self.vnodes = vnodes;
         self
     }
 
@@ -213,9 +203,6 @@ impl ClusterConfig {
     pub fn validate(&self) -> Result<(), crate::engine::ConfigError> {
         if self.partitions == 0 {
             return Err(crate::engine::ConfigError::ZeroPartitions);
-        }
-        if self.vnodes == 0 {
-            return Err(crate::engine::ConfigError::ZeroVnodes);
         }
         if self.engine.ingest == IngestMode::Rounds {
             return Err(crate::engine::ConfigError::RoundsPartitions);
@@ -398,7 +385,7 @@ impl<S: ChoiceScheme + 'static> Cluster<S> {
             panic!("invalid ClusterConfig: {err}");
         }
         assert!(!nodes.is_empty(), "need at least one node");
-        let mut ring = HashRing::new(config.vnodes);
+        let mut ring = HashRing::new(NODE_VNODES);
         for &node in nodes {
             assert!(ring.add_node(node), "duplicate node id {node}");
         }

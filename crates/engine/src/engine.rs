@@ -131,8 +131,6 @@ pub enum ConfigError {
     QueueDepthNotPowerOfTwo(usize),
     /// A cluster was configured with zero partitions.
     ZeroPartitions,
-    /// A cluster ring was configured with zero virtual nodes per node.
-    ZeroVnodes,
     /// A cluster's partition engine template selects rounds ingestion,
     /// whose key index a `Drain` rebalance cannot see.
     RoundsPartitions,
@@ -156,10 +154,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroPartitions => write!(
                 f,
                 "ClusterConfig::partitions(0): need at least one partition"
-            ),
-            ConfigError::ZeroVnodes => write!(
-                f,
-                "ClusterConfig::vnodes(0): need at least one virtual node per node"
             ),
             ConfigError::RoundsPartitions => write!(
                 f,
@@ -1465,9 +1459,9 @@ pub(crate) mod tests {
         assert_eq!(stats.total_balls(), 2_000);
         assert_eq!(stats.total_ops(), 4_500);
         let observed = stats.merged_observations();
-        assert_eq!(observed.insert_load.count(), 3_000);
-        assert_eq!(observed.delete_load.count(), 1_000);
-        assert_eq!(observed.lookup_depth.count(), 500);
+        assert_eq!(observed.insert_load.total(), 3_000);
+        assert_eq!(observed.delete_load.total(), 1_000);
+        assert_eq!(observed.lookup_depth.total(), 500);
     }
 
     /// A scheme that panics when asked to derive choices for a poison

@@ -53,17 +53,21 @@
 //!   [`RoundReport`] (rounds taken, re-proposals per round, max load).
 //!   Batches take tens to hundreds of rounds, but rounds that place
 //!   no ball are skipped in closed form: on `tables rounds` rounds mode
-//!   serves at 1.1–1.6× the cost of sequential d-choice, and perfbench's
-//!   `zipf-rounds` runs ~2.3× below `zipf-phased` on the same stream.
+//!   serves at 1.1–1.6× the cost of sequential d-choice. Perfbench's
+//!   `zipf-rounds` against `zipf-phased`, the same stream served
+//!   sequentially, measures the cost on the engine.
 //! * **Replay** — [`Engine::serve_replay`] ingests an op *iterator* in
 //!   batch-sized chunks, so captured workload files (the `ba-workload`
 //!   replay module's `.baops` format) replay at live-serving memory cost,
 //!   and [`EngineStats::divergences`] diffs two stats snapshots field by
 //!   field for differential runs.
-//! * **Metrics** — [`EngineStats`] snapshots per-shard load histograms
-//!   (via [`ba_stats::LoadHistogram`]), max loads, traffic counters, and
-//!   online per-op-kind load/probe percentiles
-//!   ([`OnlinePercentiles`]); snapshots from different engines (or
+//! * **Metrics** — [`EngineStats`] snapshots per-shard load histograms,
+//!   max loads, traffic counters, and per-op-kind load/probe
+//!   observations ([`OpObservations`]). Both histograms and observations
+//!   are the one exact integer histogram, [`ba_stats::LoadHistogram`]: a
+//!   shard's load histogram is copied from its allocation's occupancy
+//!   counters in O(max load), and each op records its observation, so
+//!   every percentile is exact. Snapshots from different engines (or
 //!   nodes) combine via [`EngineStats::merge`].
 //! * **Clustering** — [`cluster::Cluster`] fronts many engines behind a
 //!   consistent-hash ring ([`cluster::HashRing`], [`NODE_VNODES`] virtual
@@ -121,7 +125,7 @@ pub use cluster::{
 };
 pub use engine::{route, ChoiceMode, ConfigError, Engine, EngineConfig, IngestMode, WorkerMode};
 pub use index::KeyIndex;
-pub use metrics::{EngineStats, OnlinePercentiles, OpObservations, ShardStats};
+pub use metrics::{EngineStats, OpObservations, ShardStats};
 pub use op::{BatchSummary, Op};
 pub use rounds::RoundReport;
 pub use shard::Shard;

@@ -2,164 +2,30 @@
 
 use crate::op::BatchSummary;
 use ba_core::Allocation;
-use ba_stats::{format_fraction, HistogramSketch, LoadHistogram, Table};
-
-/// An online tracker of small non-negative integer observations: an exact
-/// count-per-value histogram.
-///
-/// The quantities the engine observes per operation — bin loads, probe
-/// indices, per-key stack depths — are tiny integers (max load is
-/// `O(log log n)`), so an exact integer histogram costs a few words,
-/// makes every percentile exact rather than approximated, and derives
-/// mean/std-dev/max without a parallel accumulator. Merging two trackers
-/// (shard → engine aggregation) is lossless.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct OnlinePercentiles {
-    /// Count of observations per value; the last slot is always nonzero.
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl OnlinePercentiles {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one observation.
-    #[inline]
-    pub fn record(&mut self, value: u32) {
-        let idx = value as usize;
-        if idx >= self.counts.len() {
-            self.counts.resize(idx + 1, 0);
-        }
-        self.counts[idx] += 1;
-        self.total += 1;
-    }
-
-    /// The number of observations.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// The mean observation (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let sum: f64 = self
-            .counts
-            .iter()
-            .enumerate()
-            .map(|(value, &count)| value as f64 * count as f64)
-            .sum();
-        sum / self.total as f64
-    }
-
-    /// The sample standard deviation (0 with fewer than 2 observations).
-    pub fn std_dev(&self) -> f64 {
-        if self.total < 2 {
-            return 0.0;
-        }
-        let mean = self.mean();
-        let sq_dev: f64 = self
-            .counts
-            .iter()
-            .enumerate()
-            .map(|(value, &count)| {
-                let delta = value as f64 - mean;
-                delta * delta * count as f64
-            })
-            .sum();
-        (sq_dev / (self.total - 1) as f64).sqrt()
-    }
-
-    /// The largest observation (0 if empty).
-    pub fn max(&self) -> u32 {
-        self.counts.len().saturating_sub(1) as u32
-    }
-
-    /// The exact `p`-th percentile (nearest-rank; `p` in `[0, 100]`),
-    /// or 0 if nothing was recorded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 100]`.
-    pub fn percentile(&self, p: f64) -> u32 {
-        assert!((0.0..=100.0).contains(&p), "percentile must be in [0,100]");
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((p / 100.0 * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (value, &count) in self.counts.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                return value as u32;
-            }
-        }
-        (self.counts.len().saturating_sub(1)) as u32
-    }
-
-    /// Count of observations per value.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Merges another tracker into this one (lossless).
-    pub fn merge(&mut self, other: &OnlinePercentiles) {
-        if other.counts.len() > self.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (slot, &count) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *slot += count;
-        }
-        self.total += other.total;
-    }
-
-    /// Converts this exact tracker into a bounded-memory
-    /// [`HistogramSketch`] with unit-width integer bins covering the
-    /// observed range — the export shape for mergeable telemetry. On
-    /// unit bins the sketch's percentiles equal this tracker's exactly
-    /// (the tracker is the sketch's test oracle).
-    ///
-    /// Returns `None` when the tracker holds no observations: an empty
-    /// tracker has no percentiles, and exporting a zeroed sketch would
-    /// surface degenerate `p50 = p99 = max = 0` rows downstream
-    /// (exactly what [`EngineStats::render`]'s `-` placeholder avoids).
-    pub fn to_sketch(&self) -> Option<HistogramSketch> {
-        if self.total == 0 {
-            return None;
-        }
-        let mut sketch = HistogramSketch::unit_bins(self.max().max(1));
-        for (value, &count) in self.counts.iter().enumerate() {
-            sketch.record_n(value as f64, count);
-        }
-        Some(sketch)
-    }
-}
+use ba_stats::{format_fraction, LoadHistogram, Table};
 
 /// Per-op-kind online observations a shard accumulates while serving.
 ///
 /// Each field answers a different operator question: how deep do inserts
 /// land, which probe wins, how loaded are the bins deletes vacate, and
-/// how many balls do lookups find.
+/// how many balls do lookups find. Each is an exact integer
+/// [`LoadHistogram`] fed by [`LoadHistogram::record`], so every
+/// percentile is exact and shard → engine merges are lossless.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct OpObservations {
     /// Load of the destination bin *after* each insert — the depth the
     /// ball landed at (1 = was empty).
-    pub insert_load: OnlinePercentiles,
+    pub insert_load: LoadHistogram,
     /// Index of the winning probe within the choice vector per insert
     /// (0 = first choice won). When a scheme offers the same bin at
     /// several positions (with-replacement sampling), the *first*
     /// position offering the chosen bin is recorded — duplicate probes
     /// address one counter, so later duplicates are indistinguishable.
-    pub insert_probe: OnlinePercentiles,
+    pub insert_probe: LoadHistogram,
     /// Load of the source bin *before* each successful delete.
-    pub delete_load: OnlinePercentiles,
+    pub delete_load: LoadHistogram,
     /// Live balls found per lookup (0 = miss).
-    pub lookup_depth: OnlinePercentiles,
+    pub lookup_depth: LoadHistogram,
 }
 
 impl OpObservations {
@@ -183,7 +49,8 @@ pub struct ShardStats {
     pub balls: u64,
     /// Current maximum bin load.
     pub max_load: u32,
-    /// Full load histogram of the shard table.
+    /// Full load histogram of the shard table, copied from the
+    /// allocation's occupancy counters (O(max load)).
     pub histogram: LoadHistogram,
     /// Lifetime operation counters.
     pub traffic: BatchSummary,
@@ -259,19 +126,11 @@ impl EngineStats {
 
     /// The merged load histogram over every shard's bins.
     pub fn merged_histogram(&self) -> LoadHistogram {
-        let width = self
-            .shards
-            .iter()
-            .map(|s| s.histogram.len())
-            .max()
-            .unwrap_or(0);
-        let mut counts = vec![0u64; width];
+        let mut merged = LoadHistogram::default();
         for shard in &self.shards {
-            for (load, &count) in shard.histogram.counts().iter().enumerate() {
-                counts[load] += count;
-            }
+            merged.merge(&shard.histogram);
         }
-        LoadHistogram::from_counts(counts)
+        merged
     }
 
     /// Field-by-field comparison against another snapshot, for replay and
@@ -399,8 +258,8 @@ impl EngineStats {
         let mut out = format!(
             "{}\ntotal: {} balls in {} bins, {} ops served, max load {}\n",
             table.render(),
-            merged.total_balls(),
-            merged.total_bins(),
+            merged.sum(),
+            merged.total(),
             self.total_ops(),
             self.max_load(),
         );
@@ -413,7 +272,7 @@ impl EngineStats {
             // An op kind the run never exercised (e.g. lookups in a
             // lookup-free scenario) renders as `-`, not as a degenerate
             // zero that reads like a measured value.
-            if tracker.count() == 0 {
+            if tracker.total() == 0 {
                 out.push_str(&format!("{label}: mean - p50 - p99 - max - (0 obs)\n"));
                 continue;
             }
@@ -423,7 +282,7 @@ impl EngineStats {
                 tracker.percentile(50.0),
                 tracker.percentile(99.0),
                 tracker.max(),
-                tracker.count(),
+                tracker.total(),
             ));
         }
         out
@@ -477,8 +336,8 @@ mod tests {
     #[test]
     fn merged_histogram_conserves_mass() {
         let merged = stats().merged_histogram();
-        assert_eq!(merged.total_balls(), 150);
-        assert_eq!(merged.total_bins(), 128);
+        assert_eq!(merged.sum(), 150);
+        assert_eq!(merged.total(), 128);
     }
 
     #[test]
@@ -494,62 +353,8 @@ mod tests {
         let s = EngineStats::new(Vec::new());
         assert_eq!(s.total_balls(), 0);
         assert_eq!(s.max_load(), 0);
-        assert_eq!(s.merged_histogram().total_bins(), 0);
-        assert_eq!(s.merged_observations().insert_load.count(), 0);
-    }
-
-    #[test]
-    fn percentiles_are_exact_nearest_rank() {
-        let mut t = OnlinePercentiles::new();
-        for v in [1u32, 2, 3, 4, 5, 6, 7, 8, 9, 10] {
-            t.record(v);
-        }
-        assert_eq!(t.count(), 10);
-        assert_eq!(t.percentile(0.0), 1);
-        assert_eq!(t.percentile(50.0), 5);
-        assert_eq!(t.percentile(90.0), 9);
-        assert_eq!(t.percentile(99.0), 10);
-        assert_eq!(t.percentile(100.0), 10);
-        assert_eq!(t.max(), 10);
-        assert!((t.mean() - 5.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_percentiles_return_zero() {
-        let t = OnlinePercentiles::new();
-        assert_eq!(t.percentile(50.0), 0);
-        assert_eq!(t.max(), 0);
-        assert_eq!(t.mean(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "percentile")]
-    fn out_of_range_percentile_panics() {
-        OnlinePercentiles::new().percentile(101.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential_recording() {
-        let mut whole = OnlinePercentiles::new();
-        let mut left = OnlinePercentiles::new();
-        let mut right = OnlinePercentiles::new();
-        for i in 0..100u32 {
-            let v = (i * 7) % 13;
-            whole.record(v);
-            if i < 40 {
-                left.record(v);
-            } else {
-                right.record(v);
-            }
-        }
-        left.merge(&right);
-        assert_eq!(left.counts(), whole.counts());
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.std_dev() - whole.std_dev()).abs() < 1e-9);
-        for p in [0.0, 25.0, 50.0, 75.0, 99.0, 100.0] {
-            assert_eq!(left.percentile(p), whole.percentile(p), "p{p}");
-        }
+        assert_eq!(s.merged_histogram().total(), 0);
+        assert_eq!(s.merged_observations().insert_load.total(), 0);
     }
 
     #[test]
@@ -557,7 +362,7 @@ mod tests {
         let s = stats();
         let merged = s.merged_observations();
         // Two shards, four recorded insert loads each.
-        assert_eq!(merged.insert_load.count(), 8);
+        assert_eq!(merged.insert_load.total(), 8);
         assert_eq!(merged.insert_load.percentile(50.0), 1);
         assert_eq!(merged.insert_load.max(), 3);
     }
@@ -626,53 +431,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_empty_into_nonempty_is_identity() {
-        let mut populated = OnlinePercentiles::new();
-        for v in [2u32, 5, 5, 9] {
-            populated.record(v);
-        }
-        let reference = populated.clone();
-        populated.merge(&OnlinePercentiles::new());
-        assert_eq!(populated, reference);
-        assert_eq!(populated.count(), 4);
-        assert_eq!(populated.percentile(50.0), 5);
-    }
-
-    #[test]
-    fn merge_nonempty_into_empty_copies_everything() {
-        let mut populated = OnlinePercentiles::new();
-        for v in [0u32, 3, 3, 7] {
-            populated.record(v);
-        }
-        let mut empty = OnlinePercentiles::new();
-        empty.merge(&populated);
-        assert_eq!(empty, populated);
-        assert_eq!(empty.max(), 7);
-        assert_eq!(empty.counts().len(), populated.counts().len());
-    }
-
-    #[test]
-    fn merge_differing_counts_lengths_both_directions() {
-        // Short-into-long must not truncate; long-into-short must grow.
-        let mut short = OnlinePercentiles::new();
-        short.record(1);
-        let mut long = OnlinePercentiles::new();
-        long.record(10);
-        long.record(2);
-
-        let mut a = short.clone();
-        a.merge(&long);
-        let mut b = long.clone();
-        b.merge(&short);
-        assert_eq!(a, b, "merge must commute on contents");
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.max(), 10);
-        assert_eq!(a.counts().len(), 11);
-        assert_eq!(a.percentile(100.0), 10);
-        assert_eq!(a.percentile(0.0), 1);
-    }
-
-    #[test]
     fn divergences_are_sorted_by_shard_then_metric() {
         // Differences planted in every field of both shards must come out
         // grouped by shard index with metric names alphabetical inside
@@ -732,25 +490,5 @@ mod tests {
         assert_eq!(a.total_balls(), 2 * before);
         let ids: Vec<usize> = a.shards().iter().map(|s| s.shard).collect();
         assert_eq!(ids, vec![0, 0, 1, 1], "sorted by shard id");
-    }
-
-    #[test]
-    fn to_sketch_percentiles_match_the_exact_tracker() {
-        let mut tracker = OnlinePercentiles::new();
-        for i in 0..500u32 {
-            tracker.record((i * 13) % 23);
-        }
-        let sketch = tracker.to_sketch().expect("tracker has observations");
-        assert_eq!(sketch.count(), tracker.count());
-        for p in [0.0, 25.0, 50.0, 75.0, 99.0, 100.0] {
-            assert_eq!(
-                sketch.percentile(p),
-                f64::from(tracker.percentile(p)),
-                "p{p}: unit-bin sketch must be exact"
-            );
-        }
-        assert_eq!(sketch.max(), f64::from(tracker.max()));
-        // An empty tracker has no percentiles to export: no sketch.
-        assert!(OnlinePercentiles::new().to_sketch().is_none());
     }
 }

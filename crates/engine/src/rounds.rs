@@ -35,8 +35,9 @@
 //! its *placing* rounds: of the ~770 rounds per `zipf-rounds` batch,
 //! about 164 place a ball and 64 are walked without placing, and the
 //! other ~540, which only raise the threshold toward the hot keys'
-//! bins, are skipped. On a 2-vCPU x86-64 host that workload serves
-//! 2.3–2.5 M ops/s, against 5.1–5.7 M through sequential d-choice.
+//! bins, are skipped. Perfbench's `zipf-rounds` against `zipf-phased`,
+//! the same stream through sequential d-choice, measures what the
+//! remaining rounds cost.
 //!
 //! Deletes and lookups apply at batch barriers against pre-batch state:
 //! lookups first (they observe the placements the batch started with),
@@ -376,8 +377,9 @@ impl<S: ChoiceScheme> RoundsState<S> {
 mod tests {
     use super::*;
     use crate::engine::tests::{engine, mixed_ops};
-    use crate::{Engine, EngineConfig, OnlinePercentiles, WorkerMode};
+    use crate::{Engine, EngineConfig, WorkerMode};
     use ba_hash::{AnyScheme, DoubleHashing};
+    use ba_stats::LoadHistogram;
     use proptest::prelude::*;
     use std::collections::HashMap;
 
@@ -550,8 +552,8 @@ mod tests {
         loads: Vec<u32>,
         index: HashMap<u64, Vec<u64>>,
         report: RoundReport,
-        insert_probe: OnlinePercentiles,
-        insert_load: OnlinePercentiles,
+        insert_probe: LoadHistogram,
+        insert_load: LoadHistogram,
     }
 
     impl Model {
@@ -564,8 +566,8 @@ mod tests {
                 loads: vec![0; global_bins as usize],
                 index: HashMap::new(),
                 report: RoundReport::default(),
-                insert_probe: OnlinePercentiles::new(),
-                insert_load: OnlinePercentiles::new(),
+                insert_probe: LoadHistogram::default(),
+                insert_load: LoadHistogram::default(),
             }
         }
 

@@ -621,11 +621,11 @@ mod tests {
             Op::Delete(1),
         ]);
         let obs = s.observations();
-        assert_eq!(obs.insert_load.count(), 3);
-        assert_eq!(obs.insert_probe.count(), 3);
+        assert_eq!(obs.insert_load.total(), 3);
+        assert_eq!(obs.insert_probe.total(), 3);
         assert!(obs.insert_probe.max() < 3, "probe index must be < d");
-        assert_eq!(obs.delete_load.count(), 1);
-        assert_eq!(obs.lookup_depth.count(), 2);
+        assert_eq!(obs.delete_load.total(), 1);
+        assert_eq!(obs.lookup_depth.total(), 2);
         // Lookup of key 1 saw 2 balls, lookup of 99 saw 0.
         assert_eq!(obs.lookup_depth.max(), 2);
         assert_eq!(obs.lookup_depth.percentile(1.0), 0);

@@ -1,10 +1,20 @@
-//! Load histograms and cross-trial aggregation.
+//! The exact integer histogram and cross-trial aggregation.
 
-use crate::Welford;
+use crate::{HistogramSketch, Welford};
 
-/// Counts of bins at each integer load for a single trial.
+/// An exact count-per-value histogram over small non-negative integers:
+/// index `i` holds how many times the value `i` occurred.
 ///
-/// Index `i` holds the number of bins containing exactly `i` balls.
+/// As a load histogram, the paper's tables, it counts the bins holding
+/// exactly `i` balls ([`LoadHistogram::from_loads`], or
+/// [`LoadHistogram::from_counts`] from occupancy counters a table
+/// already keeps). As an online tracker ([`LoadHistogram::record`]) it
+/// counts observations: the per-op quantities an engine sees — landing
+/// loads, winning probe indices, per-key stack depths — are tiny
+/// integers (max load is `O(log log n)`), so the histogram costs a few
+/// words, every percentile is exact rather than approximated, mean and
+/// standard deviation need no parallel accumulator, and
+/// [`LoadHistogram::merge`] (shard → engine aggregation) is lossless.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LoadHistogram {
     counts: Vec<u64>,
@@ -21,12 +31,22 @@ impl LoadHistogram {
         Self { counts }
     }
 
-    /// Builds a histogram directly from counts (index = load).
+    /// Builds a histogram directly from counts (index = value).
     pub fn from_counts(counts: Vec<u64>) -> Self {
         Self { counts }
     }
 
-    /// Number of bins with load exactly `i`.
+    /// Records one observation of `value`.
+    #[inline]
+    pub fn record(&mut self, value: u32) {
+        let idx = value as usize;
+        if idx >= self.counts.len() {
+            self.counts.resize(idx + 1, 0);
+        }
+        self.counts[idx] += 1;
+    }
+
+    /// Number of bins with load exactly `i` (observations equal to `i`).
     pub fn count(&self, i: usize) -> u64 {
         self.counts.get(i).copied().unwrap_or(0)
     }
@@ -40,13 +60,13 @@ impl LoadHistogram {
         self.counts[i..].iter().sum()
     }
 
-    /// Total number of bins.
-    pub fn total_bins(&self) -> u64 {
+    /// Total number of bins (observations).
+    pub fn total(&self) -> u64 {
         self.counts.iter().sum()
     }
 
-    /// Total number of balls (Σ i · count(i)).
-    pub fn total_balls(&self) -> u64 {
+    /// Total number of balls (Σ i · count(i)), the sum of the observations.
+    pub fn sum(&self) -> u64 {
         self.counts
             .iter()
             .enumerate()
@@ -54,8 +74,9 @@ impl LoadHistogram {
             .sum()
     }
 
-    /// The maximum load (0 for an empty histogram).
-    pub fn max_load(&self) -> u32 {
+    /// The maximum load, the largest observation (0 for an empty
+    /// histogram).
+    pub fn max(&self) -> u32 {
         self.counts
             .iter()
             .rposition(|&c| c > 0)
@@ -63,9 +84,60 @@ impl LoadHistogram {
             .unwrap_or(0)
     }
 
+    /// The mean load, the mean observation (0 if empty).
+    pub fn mean(&self) -> f64 {
+        let total = self.total();
+        if total == 0 {
+            return 0.0;
+        }
+        self.sum() as f64 / total as f64
+    }
+
+    /// The sample standard deviation (0 with fewer than 2 observations).
+    pub fn std_dev(&self) -> f64 {
+        let total = self.total();
+        if total < 2 {
+            return 0.0;
+        }
+        let mean = self.mean();
+        let sq_dev: f64 = self
+            .counts
+            .iter()
+            .enumerate()
+            .map(|(value, &count)| {
+                let delta = value as f64 - mean;
+                delta * delta * count as f64
+            })
+            .sum();
+        (sq_dev / (total - 1) as f64).sqrt()
+    }
+
+    /// The exact `p`-th percentile (nearest-rank; `p` in `[0, 100]`),
+    /// or 0 if the histogram is empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is outside `[0, 100]`.
+    pub fn percentile(&self, p: f64) -> u32 {
+        assert!((0.0..=100.0).contains(&p), "percentile must be in [0,100]");
+        let total = self.total();
+        if total == 0 {
+            return 0;
+        }
+        let rank = ((p / 100.0 * total as f64).ceil() as u64).max(1);
+        let mut seen = 0u64;
+        for (value, &count) in self.counts.iter().enumerate() {
+            seen += count;
+            if seen >= rank {
+                return value as u32;
+            }
+        }
+        self.max()
+    }
+
     /// Fraction of bins with load exactly `i`.
     pub fn fraction(&self, i: usize) -> f64 {
-        let total = self.total_bins();
+        let total = self.total();
         if total == 0 {
             0.0
         } else {
@@ -75,7 +147,7 @@ impl LoadHistogram {
 
     /// Fraction of bins with load at least `i`.
     pub fn tail_fraction(&self, i: usize) -> f64 {
-        let total = self.total_bins();
+        let total = self.total();
         if total == 0 {
             0.0
         } else {
@@ -83,7 +155,7 @@ impl LoadHistogram {
         }
     }
 
-    /// The raw count vector (index = load).
+    /// The raw count vector (index = value).
     pub fn counts(&self) -> &[u64] {
         &self.counts
     }
@@ -93,9 +165,39 @@ impl LoadHistogram {
         self.counts.len()
     }
 
-    /// Whether the histogram has no bins at all.
+    /// Whether the histogram counts no bins (observations) at all.
     pub fn is_empty(&self) -> bool {
-        self.total_bins() == 0
+        self.total() == 0
+    }
+
+    /// Adds another histogram's counts to this one (lossless).
+    pub fn merge(&mut self, other: &LoadHistogram) {
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
+        for (slot, &count) in self.counts.iter_mut().zip(&other.counts) {
+            *slot += count;
+        }
+    }
+
+    /// Converts this histogram into a bounded-memory [`HistogramSketch`]
+    /// with unit-width integer bins covering the observed range — the
+    /// export shape for mergeable telemetry. On unit bins the sketch's
+    /// percentiles equal this histogram's exactly (the histogram is the
+    /// sketch's test oracle).
+    ///
+    /// Returns `None` when the histogram is empty: it has no
+    /// percentiles, and exporting a zeroed sketch would surface
+    /// degenerate `p50 = p99 = max = 0` rows downstream.
+    pub fn to_sketch(&self) -> Option<HistogramSketch> {
+        if self.is_empty() {
+            return None;
+        }
+        let mut sketch = HistogramSketch::unit_bins(self.max().max(1));
+        for (value, &count) in self.counts.iter().enumerate() {
+            sketch.record_n(value as f64, count);
+        }
+        Some(sketch)
     }
 }
 
@@ -118,12 +220,12 @@ pub struct LoadSummary {
 /// Aggregates load histograms across independent trials.
 ///
 /// Tracks, for every load value, a [`Welford`] accumulator of the per-trial
-/// bin count, plus the distribution of per-trial maximum loads — enough to
-/// regenerate every load-distribution table in the paper.
+/// bin count, plus a [`LoadHistogram`] of per-trial maximum loads — enough
+/// to regenerate every load-distribution table in the paper.
 #[derive(Debug, Clone, Default)]
 pub struct TrialAccumulator {
     per_load: Vec<Welford>,
-    max_load_counts: Vec<u64>,
+    max_loads: LoadHistogram,
     trials: u64,
     bins_per_trial: u64,
 }
@@ -141,7 +243,7 @@ impl TrialAccumulator {
     /// Panics if the histogram's bin count differs from previous trials
     /// (mixed-size trials indicate a harness bug).
     pub fn push(&mut self, hist: &LoadHistogram) {
-        let bins = hist.total_bins();
+        let bins = hist.total();
         if self.trials == 0 {
             self.bins_per_trial = bins;
         } else {
@@ -158,11 +260,7 @@ impl TrialAccumulator {
         for (load, acc) in self.per_load.iter_mut().enumerate() {
             acc.push(hist.count(load) as f64);
         }
-        let max = hist.max_load() as usize;
-        if max >= self.max_load_counts.len() {
-            self.max_load_counts.resize(max + 1, 0);
-        }
-        self.max_load_counts[max] += 1;
+        self.max_loads.record(hist.max());
         self.trials += 1;
     }
 
@@ -192,12 +290,7 @@ impl TrialAccumulator {
         for (mine, theirs) in self.per_load.iter_mut().zip(&other_load) {
             mine.merge(theirs);
         }
-        if other.max_load_counts.len() > self.max_load_counts.len() {
-            self.max_load_counts.resize(other.max_load_counts.len(), 0);
-        }
-        for (i, &c) in other.max_load_counts.iter().enumerate() {
-            self.max_load_counts[i] += c;
-        }
+        self.max_loads.merge(&other.max_loads);
         self.trials += other.trials;
     }
 
@@ -232,27 +325,17 @@ impl TrialAccumulator {
 
     /// Fraction of trials whose maximum load was exactly `m` (Table 4).
     pub fn max_load_fraction(&self, m: usize) -> f64 {
-        if self.trials == 0 {
-            return 0.0;
-        }
-        self.max_load_counts.get(m).copied().unwrap_or(0) as f64 / self.trials as f64
+        self.max_loads.fraction(m)
     }
 
     /// Fraction of trials whose maximum load was at least `m`.
     pub fn max_load_tail_fraction(&self, m: usize) -> f64 {
-        if self.trials == 0 || m >= self.max_load_counts.len() {
-            return 0.0;
-        }
-        self.max_load_counts[m..].iter().sum::<u64>() as f64 / self.trials as f64
+        self.max_loads.tail_fraction(m)
     }
 
     /// Largest load observed in any trial.
     pub fn overall_max_load(&self) -> u32 {
-        self.max_load_counts
-            .iter()
-            .rposition(|&c| c > 0)
-            .map(|i| i as u32)
-            .unwrap_or(0)
+        self.max_loads.max()
     }
 
     /// Per-load min/avg/max/stddev rows (Table 5), for loads `0..len`.
@@ -297,9 +380,9 @@ mod tests {
         assert_eq!(h.count(1), 2);
         assert_eq!(h.count(2), 1);
         assert_eq!(h.count(3), 0);
-        assert_eq!(h.total_bins(), 6);
-        assert_eq!(h.total_balls(), 4);
-        assert_eq!(h.max_load(), 2);
+        assert_eq!(h.total(), 6);
+        assert_eq!(h.sum(), 4);
+        assert_eq!(h.max(), 2);
     }
 
     #[test]
@@ -324,9 +407,114 @@ mod tests {
     fn empty_histogram() {
         let h = LoadHistogram::from_loads(&[]);
         assert!(h.is_empty());
-        assert_eq!(h.max_load(), 0);
+        assert_eq!(h.max(), 0);
         assert_eq!(h.fraction(0), 0.0);
         assert_eq!(h.tail_fraction(3), 0.0);
+    }
+
+    #[test]
+    fn percentiles_are_exact_nearest_rank() {
+        let mut t = LoadHistogram::default();
+        for v in [1u32, 2, 3, 4, 5, 6, 7, 8, 9, 10] {
+            t.record(v);
+        }
+        assert_eq!(t.total(), 10);
+        assert_eq!(t.percentile(0.0), 1);
+        assert_eq!(t.percentile(50.0), 5);
+        assert_eq!(t.percentile(90.0), 9);
+        assert_eq!(t.percentile(99.0), 10);
+        assert_eq!(t.percentile(100.0), 10);
+        assert_eq!(t.max(), 10);
+        assert!((t.mean() - 5.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn empty_percentiles_return_zero() {
+        let t = LoadHistogram::default();
+        assert_eq!(t.percentile(50.0), 0);
+        assert_eq!(t.max(), 0);
+        assert_eq!(t.mean(), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "percentile")]
+    fn out_of_range_percentile_panics() {
+        LoadHistogram::default().percentile(101.0);
+    }
+
+    #[test]
+    fn merge_equals_sequential_recording() {
+        let mut whole = LoadHistogram::default();
+        let mut left = LoadHistogram::default();
+        let mut right = LoadHistogram::default();
+        for i in 0..100u32 {
+            let v = (i * 7) % 13;
+            whole.record(v);
+            if i < 40 {
+                left.record(v);
+            } else {
+                right.record(v);
+            }
+        }
+        left.merge(&right);
+        assert_eq!(left.counts(), whole.counts());
+        assert_eq!(left.total(), whole.total());
+        assert!((left.mean() - whole.mean()).abs() < 1e-9);
+        assert!((left.std_dev() - whole.std_dev()).abs() < 1e-9);
+        for p in [0.0, 25.0, 50.0, 75.0, 99.0, 100.0] {
+            assert_eq!(left.percentile(p), whole.percentile(p), "p{p}");
+        }
+    }
+
+    #[test]
+    fn merge_differing_counts_lengths_both_directions() {
+        // Short-into-long must not truncate; long-into-short must grow.
+        let mut short = LoadHistogram::default();
+        short.record(1);
+        let mut long = LoadHistogram::default();
+        long.record(10);
+        long.record(2);
+
+        let mut a = short.clone();
+        a.merge(&long);
+        let mut b = long.clone();
+        b.merge(&short);
+        assert_eq!(a, b, "merge must commute on contents");
+        assert_eq!(a.total(), 3);
+        assert_eq!(a.max(), 10);
+        assert_eq!(a.counts().len(), 11);
+        assert_eq!(a.percentile(100.0), 10);
+        assert_eq!(a.percentile(0.0), 1);
+
+        // The empty histogram is the identity on either side.
+        let empty = LoadHistogram::default();
+        let mut c = a.clone();
+        c.merge(&empty);
+        assert_eq!(c, a);
+        let mut d = empty.clone();
+        d.merge(&a);
+        assert_eq!(d, a);
+        assert_eq!(d.counts().len(), a.counts().len());
+    }
+
+    #[test]
+    fn to_sketch_percentiles_match_the_exact_tracker() {
+        let mut tracker = LoadHistogram::default();
+        for i in 0..500u32 {
+            tracker.record((i * 13) % 23);
+        }
+        let sketch = tracker.to_sketch().expect("tracker has observations");
+        assert_eq!(sketch.count(), tracker.total());
+        for p in [0.0, 25.0, 50.0, 75.0, 99.0, 100.0] {
+            assert_eq!(
+                sketch.percentile(p),
+                f64::from(tracker.percentile(p)),
+                "p{p}: unit-bin sketch must be exact"
+            );
+        }
+        assert_eq!(sketch.max(), f64::from(tracker.max()));
+        // An empty histogram has no percentiles to export: no sketch.
+        assert!(LoadHistogram::default().to_sketch().is_none());
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! quantitatively:
 //!
 //! * [`Welford`] — numerically stable streaming mean/variance;
-//! * [`LoadHistogram`] — counts of bins at each integer load;
+//! * [`LoadHistogram`] — the exact integer histogram: counts of bins at
+//!   each load, or of observations at each value, with exact
+//!   percentiles and lossless merge;
 //! * [`TrialAccumulator`] — cross-trial aggregation of histograms;
 //! * [`two_proportion_z`], [`chi_square_statistic`] — comparison tests;
 //! * [`ks_statistic`], [`quantile`] — whole-distribution comparisons;

@@ -1,15 +1,16 @@
 //! A mergeable bounded-memory quantile summary: the fixed-bin histogram
 //! accumulator.
 //!
-//! The exact per-value trackers in `ba-engine` (`OnlinePercentiles`) cost
-//! `O(observed range)` memory and only merge when both sides enumerate
-//! the same value domain. For an indefinitely-running server — and for
-//! cross-process aggregation — telemetry needs a summary whose memory is
-//! fixed at construction and whose `merge` is a vector add. This module
-//! provides exactly that: a histogram over *configurable bin edges* that
-//! records `f64` observations, merges losslessly with any same-shaped
-//! sketch, and answers percentile queries with a documented resolution
-//! bound of **one bin width**.
+//! The exact integer histogram, [`LoadHistogram`](crate::LoadHistogram),
+//! costs `O(largest value)` memory and holds only non-negative integers.
+//! For an indefinitely-running server — and for cross-process
+//! aggregation — telemetry needs a summary whose memory is fixed at
+//! construction and whose `merge` is a vector add. This module provides
+//! exactly that: a histogram over *configurable bin edges* that records
+//! `f64` observations, merges losslessly with any same-shaped sketch,
+//! and answers percentile queries with a documented resolution bound of
+//! **one bin width**. [`LoadHistogram::to_sketch`](crate::LoadHistogram::to_sketch)
+//! exports the exact histogram on unit bins, where the two agree exactly.
 
 use std::fmt;
 

@@ -1,7 +1,7 @@
 //! Property tests for [`HistogramSketch`]: percentiles within one bin of
 //! exact, and merge associativity/losslessness.
 
-use ba_stats::HistogramSketch;
+use ba_stats::{HistogramSketch, LoadHistogram};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -75,17 +75,25 @@ proptest! {
     }
 
     /// Unit-width integer bins make percentiles exact, not merely
-    /// one-bin-close — the shape `OnlinePercentiles::to_sketch` uses.
+    /// one-bin-close — the shape `LoadHistogram::to_sketch` uses. The
+    /// same sample recorded into a `LoadHistogram` meets the same
+    /// oracle, directly and through its exported sketch.
     #[test]
     fn unit_bins_are_exact_on_integers(raw in vec(0u32..64, 1..200)) {
         let mut sketch = HistogramSketch::unit_bins(64);
+        let mut hist = LoadHistogram::default();
         let mut values: Vec<f64> = raw.iter().map(|&v| f64::from(v)).collect();
-        for &v in &values {
+        for (&v, &r) in values.iter().zip(&raw) {
             sketch.record(v);
+            hist.record(r);
         }
+        let exported = hist.to_sketch().expect("the sample is non-empty");
         values.sort_by(f64::total_cmp);
         for p in [0.0, 25.0, 50.0, 75.0, 99.0, 100.0] {
-            prop_assert_eq!(sketch.percentile(p), exact_percentile(&values, p));
+            let exact = exact_percentile(&values, p);
+            prop_assert_eq!(sketch.percentile(p), exact);
+            prop_assert_eq!(f64::from(hist.percentile(p)), exact);
+            prop_assert_eq!(exported.percentile(p), exact);
         }
     }
 }

@@ -70,9 +70,9 @@ pub mod prelude {
     pub use ba_cuckoo::{CuckooTable, Insert};
     pub use ba_engine::{
         ChoiceMode, Cluster, ClusterConfig, ConfigError, Engine, EngineConfig, EngineStats,
-        HashRing, IngestMode, JsonLinesExporter, MetricRecord, MetricsSink, OnlinePercentiles, Op,
-        Placement, RebalanceMode, RebalanceReport, RoundReport, SharedSink, WindowSummary,
-        WindowedAggregator, WorkerMode, NODE_VNODES,
+        HashRing, IngestMode, JsonLinesExporter, MetricRecord, MetricsSink, Op, Placement,
+        RebalanceMode, RebalanceReport, RoundReport, SharedSink, WindowSummary, WindowedAggregator,
+        WorkerMode, NODE_VNODES,
     };
     pub use ba_fluid::{BalancedAllocationOde, DLeftOde, SupermarketOde};
     pub use ba_hash::{

@@ -322,8 +322,8 @@ fn engine_stats_expose_op_percentiles() {
     )
     .unwrap();
     let observed = report.stats.merged_observations();
-    assert_eq!(observed.insert_load.count(), report.summary.inserts);
-    assert_eq!(observed.delete_load.count(), report.summary.deletes);
+    assert_eq!(observed.insert_load.total(), report.summary.inserts);
+    assert_eq!(observed.delete_load.total(), report.summary.deletes);
     // Inserts land at depth >= 1; the winning probe index is within d.
     assert!(observed.insert_load.percentile(50.0) >= 1);
     assert!(observed.insert_probe.max() < 3);

@@ -3,11 +3,12 @@
 //! Three anchors, mirroring the replay suite's structure:
 //!
 //! 1. **Sketch oracle over the golden corpus** — for every golden
-//!    scenario, every per-op-kind [`OnlinePercentiles`] tracker converted
-//!    via `to_sketch()` reports p50/p99/max within one bin of the exact
-//!    tracker (unit bins over integer loads: exactly equal), so the
-//!    bounded-memory sketch path can replace the exact path without
-//!    changing any reported number.
+//!    scenario, every per-op-kind [`LoadHistogram`] in the merged
+//!    [`OpObservations`](balanced_allocations::engine::OpObservations),
+//!    converted via `to_sketch()`, reports p50/p99/max within one bin of
+//!    the exact histogram (unit bins over integer loads: exactly equal),
+//!    so the bounded-memory sketch path can replace the exact path
+//!    without changing any reported number.
 //! 2. **Merge reassembly** — splitting an engine's stats snapshot into
 //!    per-shard-group pieces and re-merging with [`EngineStats::merge`]
 //!    reproduces the single-engine snapshot, divergence-free — the
@@ -50,11 +51,11 @@ fn sketch_percentiles_match_exact_trackers_over_golden_corpus() {
             ("lookup_depth", &observed.lookup_depth),
         ];
         for (name, exact) in trackers {
-            if exact.count() == 0 {
+            if exact.total() == 0 {
                 continue; // insert-only scenarios have no delete/lookup data
             }
             let sketch = exact.to_sketch().expect("non-empty tracker exports");
-            assert_eq!(sketch.count(), exact.count(), "{}/{name}", scenario.name());
+            assert_eq!(sketch.count(), exact.total(), "{}/{name}", scenario.name());
             for p in [50.0, 99.0] {
                 let (s, e) = (sketch.percentile(p), f64::from(exact.percentile(p)));
                 assert!(

@@ -58,9 +58,9 @@ proptest! {
         let alloc = run_process(&scheme, m, TieBreak::Random, &mut rng);
         prop_assert_eq!(alloc.balls(), m);
         let hist = alloc.histogram();
-        prop_assert_eq!(hist.total_balls(), m);
-        prop_assert_eq!(hist.total_bins(), n);
-        prop_assert_eq!(hist.max_load() , alloc.max_load());
+        prop_assert_eq!(hist.sum(), m);
+        prop_assert_eq!(hist.total(), n);
+        prop_assert_eq!(hist.max(), alloc.max_load());
     }
 
     #[test]

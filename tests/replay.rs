@@ -207,8 +207,8 @@ fn golden_stats_snapshots_at_pinned_seed() {
             observed.insert_load.percentile(50.0),
             observed.insert_load.percentile(99.0),
             observed.insert_probe.percentile(99.0),
-            observed.delete_load.count(),
-            observed.lookup_depth.count(),
+            observed.delete_load.total(),
+            observed.lookup_depth.total(),
         );
         assert_eq!(
             actual,

@@ -170,10 +170,11 @@ fn rounds_max_load_tracks_sequential_d_choice_on_golden_corpus() {
 
 #[test]
 fn incremental_max_load_tracker_matches_full_scan_on_golden_corpus() {
-    // The O(1) max-load tracker (occupancy counters inside
-    // `Allocation`) against a full load scan, after serving each golden
-    // capture through both rounds ingestion and sequential keyed
-    // serving — the insert/delete churn paths CI gates on.
+    // The O(1) max-load tracker and the load histogram, both read from
+    // the occupancy counters inside `Allocation`, against full load
+    // scans, after serving each golden capture through both rounds
+    // ingestion and sequential keyed serving — the insert/delete churn
+    // paths CI gates on.
     for scenario in Scenario::all() {
         let file = ReplayFile::open(golden_path(&scenario)).expect("golden file decodes");
         let ops: Vec<Op> = file.ops().to_vec();
@@ -194,6 +195,13 @@ fn incremental_max_load_tracker_matches_full_scan_on_golden_corpus() {
                     shard.allocation().max_load(),
                     shard.allocation().scanned_max_load(),
                     "{}: shard {} tracker diverged from scan",
+                    scenario.name(),
+                    shard.id()
+                );
+                assert_eq!(
+                    shard.allocation().histogram(),
+                    LoadHistogram::from_loads(shard.allocation().loads()),
+                    "{}: shard {} histogram diverged from scan",
                     scenario.name(),
                     shard.id()
                 );
