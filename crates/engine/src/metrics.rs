@@ -368,6 +368,67 @@ mod tests {
     }
 
     #[test]
+    fn merge_empty_into_nonempty_is_identity() {
+        let mut populated = OpObservations::default();
+        for v in [2u32, 5, 5, 9] {
+            populated.insert_load.record(v);
+        }
+        populated.lookup_depth.record(1);
+        let reference = populated.clone();
+        populated.merge(&OpObservations::default());
+        assert_eq!(populated, reference);
+        assert_eq!(populated.insert_load.total(), 4);
+        assert_eq!(populated.insert_load.percentile(50.0), 5);
+        assert_eq!(populated.delete_load.total(), 0);
+    }
+
+    #[test]
+    fn merge_nonempty_into_empty_copies_everything() {
+        let mut populated = OpObservations::default();
+        for v in [0u32, 3, 3, 7] {
+            populated.insert_load.record(v);
+            populated.delete_load.record(v + 1);
+        }
+        populated.insert_probe.record(1);
+        let mut empty = OpObservations::default();
+        empty.merge(&populated);
+        assert_eq!(empty, populated);
+        assert_eq!(empty.insert_load.max(), 7);
+        assert_eq!(empty.delete_load.max(), 8);
+        assert_eq!(
+            empty.insert_load.counts().len(),
+            populated.insert_load.counts().len()
+        );
+    }
+
+    #[test]
+    fn merge_differing_counts_lengths_both_directions() {
+        // Each side is longer in a different field, so one merge must grow
+        // one histogram and leave the other untruncated.
+        let mut left = OpObservations::default();
+        left.insert_load.record(1);
+        left.lookup_depth.record(10);
+        left.lookup_depth.record(2);
+        let mut right = OpObservations::default();
+        right.insert_load.record(10);
+        right.insert_load.record(2);
+        right.lookup_depth.record(1);
+
+        let mut a = left.clone();
+        a.merge(&right);
+        let mut b = right.clone();
+        b.merge(&left);
+        assert_eq!(a, b, "merge must commute on contents");
+        for merged in [&a.insert_load, &a.lookup_depth] {
+            assert_eq!(merged.total(), 3);
+            assert_eq!(merged.max(), 10);
+            assert_eq!(merged.counts().len(), 11);
+            assert_eq!(merged.percentile(100.0), 10);
+            assert_eq!(merged.percentile(0.0), 1);
+        }
+    }
+
+    #[test]
     fn render_includes_percentile_lines() {
         let text = stats().render();
         assert!(text.contains("insert landing load"), "{text}");
